@@ -57,6 +57,7 @@
 #include "o2/Support/OutputStream.h"
 #include "o2/Workload/BugModels.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -84,6 +85,20 @@ struct CliOptions {
   O2Config Config;
 };
 
+/// Parses a numeric flag's value into \p Field; false after a diagnostic.
+bool parseNumber(const std::string &Arg, const std::string &Text,
+                 uint64_t Max, unsigned &Field) {
+  uint64_t V = 0;
+  if (!parseUnsigned(Text, Max, V)) {
+    errs() << "error: invalid value '" << Text << "' for "
+           << Arg.substr(0, Arg.find('=')) << " (expected an integer from 0 to "
+           << Max << ")\n";
+    return false;
+  }
+  Field = static_cast<unsigned>(V);
+  return true;
+}
+
 bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -109,7 +124,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
         return false;
       }
     } else if (Arg.rfind("--k=", 0) == 0) {
-      Cli.Config.PTA.K = static_cast<unsigned>(std::stoul(Value("--k=")));
+      if (!parseNumber(Arg, Value("--k="), UINT32_MAX, Cli.Config.PTA.K))
+        return false;
     } else if (Arg.rfind("--solver=", 0) == 0) {
       std::string Solver = Value("--solver=");
       if (Solver == "wave")
@@ -155,8 +171,9 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
         return false;
       }
     } else if (Arg.rfind("--race-jobs=", 0) == 0) {
-      Cli.Config.Detector.Jobs =
-          static_cast<unsigned>(std::stoul(Value("--race-jobs=")));
+      if (!parseNumber(Arg, Value("--race-jobs="), MaxThreadsFlag,
+                       Cli.Config.Detector.Jobs))
+        return false;
     } else if (Arg == "--naive") {
       Cli.Naive = true;
     } else if (Arg == "--racerd") {

@@ -33,6 +33,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace o2 {
@@ -316,11 +317,22 @@ Baseline loadBaseline(const std::string &JSONLContent);
 void applyBaseline(BatchResult &R, const Baseline &B);
 
 /// Writes the report: one JSON object per job, then one aggregate record.
+/// Ends with OS.flush(), so the whole report has reached the stream's
+/// sink when this returns.
 void printJSONL(const BatchResult &R, OutputStream &OS,
                 bool IncludeTimings = false);
 
 /// Writes a short human-readable fleet summary.
 void printBatchSummary(const BatchResult &R, OutputStream &OS);
+
+/// Parses all of \p Text as a decimal unsigned integer no greater than
+/// \p Max into \p Out. Fails, leaving \p Out alone, on an empty string,
+/// a sign, whitespace, any other non-digit, or a value out of range.
+/// Every numeric command-line flag goes through this.
+bool parseUnsigned(std::string_view Text, uint64_t Max, uint64_t &Out);
+
+/// Largest value a thread-count flag (--jobs, --race-jobs) accepts.
+constexpr uint64_t MaxThreadsFlag = 4096;
 
 /// The shared CLI behind `o2batch ...` and `o2cli --batch ...`: parses
 /// \p Args (flags plus positional .oir files / directories), runs the

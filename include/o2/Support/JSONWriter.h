@@ -119,9 +119,19 @@ private:
     }
   }
 
+  /// Writes \p S quoted, handing each maximal run of characters that
+  /// need no escaping to the stream in one write. Bytes >= 0x80 pass
+  /// through unchanged.
   void writeString(std::string_view S) {
     OS << '"';
-    for (char C : S) {
+    size_t RunStart = 0;
+    for (size_t I = 0; I < S.size(); ++I) {
+      unsigned char C = static_cast<unsigned char>(S[I]);
+      if (C >= 0x20 && C != '"' && C != '\\')
+        continue;
+      if (I > RunStart)
+        OS.write(S.data() + RunStart, I - RunStart);
+      RunStart = I + 1;
       switch (C) {
       case '"':
         OS << "\\\"";
@@ -138,17 +148,15 @@ private:
       case '\r':
         OS << "\\r";
         break;
-      default:
-        if (static_cast<unsigned char>(C) < 0x20) {
-          const char *Hex = "0123456789abcdef";
-          char Buf[7] = {'\\', 'u', '0', '0',
-                         Hex[(C >> 4) & 0xf], Hex[C & 0xf], 0};
-          OS << Buf;
-        } else {
-          OS << C;
-        }
+      default: {
+        const char *Hex = "0123456789abcdef";
+        char Buf[6] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xf]};
+        OS.write(Buf, sizeof(Buf));
+      }
       }
     }
+    if (S.size() > RunStart)
+      OS.write(S.data() + RunStart, S.size() - RunStart);
     OS << '"';
   }
 

@@ -10,6 +10,9 @@
 /// A minimal raw_ostream replacement: library code never includes
 /// <iostream> (which injects static constructors). outs()/errs() wrap
 /// stdout/stderr; StringOutputStream renders into a std::string.
+/// FileOutputStream batches small writes in a bounded buffer, so report
+/// writers may emit one token per call at the cost of a memcpy;
+/// outs()/errs() write through.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +21,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -56,6 +60,10 @@ public:
   /// Writes \p Size bytes starting at \p Data.
   virtual void write(const char *Data, size_t Size) = 0;
 
+  /// Hands every byte written so far to the underlying sink. Streams
+  /// that do not buffer need not override this.
+  virtual void flush() {}
+
   /// Indents by \p NumSpaces spaces.
   OutputStream &indent(unsigned NumSpaces);
 };
@@ -75,23 +83,37 @@ private:
   std::string &Buffer;
 };
 
-/// Stream over a C FILE*. Does not own the file.
+/// Stream over a C FILE*. Does not own the file. Writes are collected
+/// in a fixed BufferSize buffer and handed to the FILE when it fills,
+/// on flush() and on destruction; a write larger than BufferSize goes
+/// straight through. Call flush() before touching the FILE
+/// directly (fwrite, fflush, ftell, fclose).
 class FileOutputStream : public OutputStream {
 public:
-  explicit FileOutputStream(std::FILE *File) : File(File) {}
+  static constexpr size_t BufferSize = 64 * 1024;
 
-  void write(const char *Data, size_t Size) override {
-    std::fwrite(Data, 1, Size, File);
-  }
+  explicit FileOutputStream(std::FILE *File)
+      : File(File), Buf(new char[BufferSize]) {}
+  ~FileOutputStream() override { flush(); }
+
+  FileOutputStream(const FileOutputStream &) = delete;
+  FileOutputStream &operator=(const FileOutputStream &) = delete;
+
+  void write(const char *Data, size_t Size) override;
+  void flush() override;
 
 private:
   std::FILE *File;
+  std::unique_ptr<char[]> Buf;
+  size_t Used = 0;
 };
 
-/// Returns a stream for standard output.
+/// Returns a stream for standard output. It keeps no buffer of its own:
+/// each write is handed to stdout at once. Wrap stdout in a
+/// FileOutputStream to write a large report.
 OutputStream &outs();
 
-/// Returns a stream for standard error.
+/// Returns a stream for standard error; each write reaches stderr at once.
 OutputStream &errs();
 
 } // namespace o2

@@ -19,12 +19,15 @@
 #include "o2/Support/ThreadPool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string_view>
 #include <thread>
+#include <type_traits>
+#include <unordered_map>
 
 using namespace o2;
 
@@ -121,13 +124,42 @@ static std::string stableLocation(const MemLoc &Loc, const PTAResult &PTA) {
   return Out + ".f" + std::to_string(FK - 1);
 }
 
-static RaceRecord makeRaceRecord(const Race &Rc, const PTAResult &PTA) {
+namespace {
+
+/// Renders each statement and each race location once per job: a
+/// race-dense module reports the same few statements in thousands of
+/// race pairs.
+class RecordRenderer {
+public:
+  const std::string &stmt(const Stmt &S) {
+    auto [It, Inserted] = Stmts.try_emplace(&S);
+    if (Inserted)
+      It->second = printStmt(S);
+    return It->second;
+  }
+
+  const std::string &location(const MemLoc &Loc, const PTAResult &PTA) {
+    auto [It, Inserted] = Locations.try_emplace(Loc.key());
+    if (Inserted)
+      It->second = stableLocation(Loc, PTA);
+    return It->second;
+  }
+
+private:
+  std::unordered_map<const Stmt *, std::string> Stmts;
+  std::unordered_map<uint64_t, std::string> Locations;
+};
+
+} // namespace
+
+static RaceRecord makeRaceRecord(const Race &Rc, const PTAResult &PTA,
+                                 RecordRenderer &Render) {
   RaceRecord R;
-  R.Location = stableLocation(Rc.Loc, PTA);
-  R.StmtA = printStmt(*Rc.A);
+  R.Location = Render.location(Rc.Loc, PTA);
+  R.StmtA = Render.stmt(*Rc.A);
   R.FuncA = Rc.A->getFunction()->getName();
   R.WriteA = Rc.AIsWrite;
-  R.StmtB = printStmt(*Rc.B);
+  R.StmtB = Render.stmt(*Rc.B);
   R.FuncB = Rc.B->getFunction()->getName();
   R.WriteB = Rc.BIsWrite;
 
@@ -311,9 +343,12 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
     AM->run(Opts.Analyses);
     Harvest();
 
-    if (AM->ran(O2Phase::Detect))
+    RecordRenderer Render;
+    if (AM->ran(O2Phase::Detect)) {
+      R.Races.reserve(AM->getRaces().races().size());
       for (const Race &Rc : AM->getRaces().races())
-        R.Races.push_back(makeRaceRecord(Rc, AM->getPTA()));
+        R.Races.push_back(makeRaceRecord(Rc, AM->getPTA(), Render));
+    }
     if (AM->ran(O2Phase::Deadlock))
       for (const DeadlockCycle &C : AM->getDeadlocks().cycles()) {
         DeadlockRecord D;
@@ -326,7 +361,7 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
           D.Witnesses.push_back(
               "thread " + std::to_string(E.Thread) + " acquires lock" +
               std::to_string(E.Inner) + " while holding lock" +
-              std::to_string(E.Outer) + " at '" + printStmt(*E.Acquire) +
+              std::to_string(E.Outer) + " at '" + Render.stmt(*E.Acquire) +
               "'");
         R.Deadlocks.push_back(std::move(D));
       }
@@ -334,7 +369,7 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
       for (const OverSyncRegion &Reg : AM->getOverSync().regions()) {
         OverSyncRecord O;
         if (Reg.Acquire) {
-          O.Stmt = printStmt(*Reg.Acquire);
+          O.Stmt = Render.stmt(*Reg.Acquire);
           O.Function = Reg.Acquire->getFunction()->getName();
         }
         O.Thread = Reg.Thread;
@@ -348,9 +383,9 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
                       ? "read-write"
                       : "unprotected-write";
         Rw.Location = W.Location;
-        Rw.First = printStmt(*W.A);
+        Rw.First = Render.stmt(*W.A);
         if (W.B)
-          Rw.Second = printStmt(*W.B);
+          Rw.Second = Render.stmt(*W.B);
         R.RacerDWarnings.push_back(std::move(Rw));
       }
 
@@ -732,6 +767,7 @@ void o2::printJSONL(const BatchResult &R, OutputStream &OS,
   W.endObject();
   W.endObject();
   OS << '\n';
+  OS.flush();
 }
 
 void o2::printBatchSummary(const BatchResult &R, OutputStream &OS) {
@@ -840,6 +876,16 @@ static void printBatchUsage(OutputStream &OS) {
         "internal error or timeout\n";
 }
 
+bool o2::parseUnsigned(std::string_view Text, uint64_t Max, uint64_t &Out) {
+  uint64_t V = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, EC] = std::from_chars(Text.data(), End, V);
+  if (Text.empty() || EC != std::errc() || Ptr != End || V > Max)
+    return false;
+  Out = V;
+  return true;
+}
+
 int o2::runBatchCommand(const std::vector<std::string> &Args) {
   BatchOptions Opts;
   std::vector<std::string> Inputs;
@@ -848,13 +894,30 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
   bool Quiet = false;
   std::string OutPath, BaselinePath;
 
+  // Durations and sizes are doubled or scaled to bytes downstream; this
+  // cap keeps the results in 64 bits.
+  constexpr uint64_t MaxCount = UINT32_MAX;
+
   for (const std::string &Arg : Args) {
     auto Value = [&Arg] { return Arg.substr(Arg.find('=') + 1); };
+    // Parses the flag's value into Field; false after a diagnostic.
+    auto Number = [&Arg, &Value](uint64_t Max, auto &Field) {
+      uint64_t V = 0;
+      if (!parseUnsigned(Value(), Max, V)) {
+        errs() << "o2batch: invalid value '" << Value() << "' for "
+               << Arg.substr(0, Arg.find('=')) << " (expected an integer "
+               << "from 0 to " << Max << ")\n";
+        return false;
+      }
+      Field = static_cast<std::remove_reference_t<decltype(Field)>>(V);
+      return true;
+    };
     if (Arg == "--help" || Arg == "-h") {
       printBatchUsage(outs());
       return ExitClean;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      Opts.Jobs = unsigned(std::strtoul(Value().c_str(), nullptr, 10));
+      if (!Number(MaxThreadsFlag, Opts.Jobs))
+        return ExitError;
     } else if (Arg.rfind("--analyses=", 0) == 0) {
       std::string Err;
       if (!parseAnalysisSet(Value(), Opts.Analyses, Err)) {
@@ -864,7 +927,8 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
     } else if (Arg.rfind("--cache-dir=", 0) == 0) {
       Opts.CacheDir = Value();
     } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      Opts.DeadlineMs = std::strtoull(Value().c_str(), nullptr, 10);
+      if (!Number(MaxCount, Opts.DeadlineMs))
+        return ExitError;
     } else if (Arg.rfind("--isolate=", 0) == 0) {
       std::string V = Value();
       if (V == "process")
@@ -876,13 +940,17 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
         return ExitError;
       }
     } else if (Arg.rfind("--mem-limit-mb=", 0) == 0) {
-      Opts.MemLimitMB = std::strtoull(Value().c_str(), nullptr, 10);
+      if (!Number(MaxCount, Opts.MemLimitMB))
+        return ExitError;
     } else if (Arg.rfind("--kill-after-ms=", 0) == 0) {
-      Opts.HardKillMs = std::strtoull(Value().c_str(), nullptr, 10);
+      if (!Number(MaxCount, Opts.HardKillMs))
+        return ExitError;
     } else if (Arg.rfind("--retries=", 0) == 0) {
-      Opts.Retries = unsigned(std::strtoul(Value().c_str(), nullptr, 10));
+      if (!Number(MaxCount, Opts.Retries))
+        return ExitError;
     } else if (Arg.rfind("--retry-backoff-ms=", 0) == 0) {
-      Opts.RetryBackoffMs = std::strtoull(Value().c_str(), nullptr, 10);
+      if (!Number(MaxCount, Opts.RetryBackoffMs))
+        return ExitError;
     } else if (Arg == "--degrade") {
       Opts.Degrade = true;
     } else if (Arg.rfind("--inject-fault=", 0) == 0) {
@@ -920,7 +988,8 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
         return ExitError;
       }
     } else if (Arg.rfind("--k=", 0) == 0) {
-      Opts.Config.PTA.K = unsigned(std::strtoul(Value().c_str(), nullptr, 10));
+      if (!Number(MaxCount, Opts.Config.PTA.K))
+        return ExitError;
     } else if (Arg.rfind("--solver=", 0) == 0) {
       std::string V = Value();
       if (V == "wave")
@@ -954,8 +1023,8 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
         return ExitError;
       }
     } else if (Arg.rfind("--race-jobs=", 0) == 0) {
-      Opts.Config.Detector.Jobs =
-          unsigned(std::strtoul(Value().c_str(), nullptr, 10));
+      if (!Number(MaxThreadsFlag, Opts.Config.Detector.Jobs))
+        return ExitError;
     } else if (Arg == "--quiet") {
       Quiet = true;
     } else if (Arg.rfind("--", 0) == 0) {
@@ -1025,17 +1094,22 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
     applyBaseline(R, loadBaseline(Content));
   }
 
-  if (!OutPath.empty()) {
-    std::FILE *F = std::fopen(OutPath.c_str(), "wb");
-    if (!F) {
+  bool ToFile = !OutPath.empty();
+  std::FILE *F = ToFile ? std::fopen(OutPath.c_str(), "wb") : stdout;
+  if (!F) {
+    errs() << "o2batch: cannot write '" << OutPath << "'\n";
+    return ExitError;
+  }
+  {
+    FileOutputStream FOS(F);
+    printJSONL(R, FOS, Opts.IncludeTimings);
+  }
+  if (ToFile) {
+    bool Failed = std::ferror(F) != 0;
+    if (std::fclose(F) != 0 || Failed) {
       errs() << "o2batch: cannot write '" << OutPath << "'\n";
       return ExitError;
     }
-    FileOutputStream FOS(F);
-    printJSONL(R, FOS, Opts.IncludeTimings);
-    std::fclose(F);
-  } else {
-    printJSONL(R, outs(), Opts.IncludeTimings);
   }
   if (!Quiet)
     printBatchSummary(R, errs());

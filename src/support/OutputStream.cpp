@@ -10,6 +10,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 
 using namespace o2;
 
@@ -46,15 +47,52 @@ OutputStream &OutputStream::indent(unsigned NumSpaces) {
   return *this;
 }
 
+void FileOutputStream::write(const char *Data, size_t Size) {
+  if (Size > BufferSize - Used) {
+    flush();
+    if (Size > BufferSize) {
+      std::fwrite(Data, 1, Size, File);
+      return;
+    }
+  }
+  if (Size)
+    std::memcpy(Buf.get() + Used, Data, Size);
+  Used += Size;
+}
+
+void FileOutputStream::flush() {
+  if (Used)
+    std::fwrite(Buf.get(), 1, Used, File);
+  Used = 0;
+}
+
+namespace {
+
+/// outs()/errs(): every write goes straight to stdio, so output from
+/// several threads or interleaved with diagnostics is never held back.
+class StdioStream : public OutputStream {
+public:
+  explicit StdioStream(std::FILE *File) : File(File) {}
+
+  void write(const char *Data, size_t Size) override {
+    std::fwrite(Data, 1, Size, File);
+  }
+
+private:
+  std::FILE *File;
+};
+
+} // namespace
+
 namespace o2 {
 
 OutputStream &outs() {
-  static FileOutputStream Stream(stdout);
+  static StdioStream Stream(stdout);
   return Stream;
 }
 
 OutputStream &errs() {
-  static FileOutputStream Stream(stderr);
+  static StdioStream Stream(stderr);
   return Stream;
 }
 

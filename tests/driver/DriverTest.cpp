@@ -854,6 +854,161 @@ TEST_F(ContainmentTest, CacheIOFaultsDegradeToMisses) {
   EXPECT_EQ(Fourth.CacheHits, 1u);
 }
 
+/// Two threads that take two locks in opposite orders (a deadlock
+/// cycle), each hold a lock over a private object (an over-synchronized
+/// region), and race on @g through \p N writes against \p N reads.
+std::string lockedRacyProgram(unsigned N) {
+  std::string Writes, Reads;
+  for (unsigned I = 0; I < N; ++I) {
+    Writes += "@g = x;\n";
+    Reads += "x = @g;\n";
+  }
+  auto Thread = [](const char *Name, const char *First, const char *Second,
+                   const std::string &Body) {
+    return std::string("class ") + Name + R"( {
+      method run() {
+        var la: Lock;
+        var lb: Lock;
+        var o: Obj;
+        var x: int;
+        la = @ga;
+        lb = @gb;
+        acquire )" + First + ";\nacquire " + Second + ";\nrelease " +
+           Second + ";\nrelease " + First + R"(;
+        o = new Obj;
+        acquire la;
+        o.v = x;
+        release la;
+        )" + Body + R"(
+      }
+    }
+)";
+  };
+  return R"(
+    class Lock { }
+    class Obj { field v: int; }
+    global ga: Lock;
+    global gb: Lock;
+    global g: int;
+)" + Thread("T1", "la", "lb", Writes) +
+         Thread("T2", "lb", "la", Reads) + R"(
+    func main() {
+      var a: Lock;
+      var b: Lock;
+      var t1: T1;
+      var t2: T2;
+      a = new Lock;
+      b = new Lock;
+      @ga = a;
+      @gb = b;
+      t1 = new T1;
+      t2 = new T2;
+      spawn t1.run();
+      spawn t2.run();
+    }
+)";
+}
+
+TEST(DriverTest, FileSinkMatchesStringSink) {
+  std::vector<JobSpec> Specs = {
+      sourceSpec("locked \"racy\"\tmodule", lockedRacyProgram(36)),
+      sourceSpec("racy", RacyProgram),
+      sourceSpec("broken\n", "class {"),
+  };
+  BatchOptions Opts;
+  Opts.Analyses = AnalysisSet::all();
+  BatchResult R = runBatch(Specs, Opts);
+  std::string Expected = renderJSONL(R);
+  ASSERT_GT(Expected.size(), 2 * FileOutputStream::BufferSize)
+      << "the report must cross the sink's buffer several times";
+  for (const char *Section : {"\"deadlocks\":[{", "\"oversync\":[{",
+                              "\"racerd\":[{", "\"races\":[{"})
+    EXPECT_NE(Expected.find(Section), std::string::npos) << Section;
+
+  std::FILE *F = std::tmpfile();
+  ASSERT_TRUE(F);
+  FileOutputStream OS(F);
+  printJSONL(R, OS);
+  // printJSONL flushes: the whole report is in the FILE while the
+  // stream is still alive.
+  std::fflush(F);
+  EXPECT_EQ(std::ftell(F), long(Expected.size()));
+  std::rewind(F);
+  std::string Actual(Expected.size() + 1, '\0');
+  Actual.resize(std::fread(Actual.data(), 1, Actual.size(), F));
+  std::fclose(F);
+  EXPECT_EQ(Actual, Expected);
+}
+
+TEST(DriverTest, ParseUnsignedTakesWholeInRangeDecimals) {
+  uint64_t V = 7;
+  EXPECT_TRUE(parseUnsigned("0", 10, V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseUnsigned("10", 10, V));
+  EXPECT_EQ(V, 10u);
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", UINT64_MAX, V));
+  EXPECT_EQ(V, UINT64_MAX);
+  V = 7;
+  for (const char *Bad : {"", "-1", "+1", " 1", "1 ", "abc", "10x", "0x10",
+                          "11", "18446744073709551616"})
+    EXPECT_FALSE(parseUnsigned(Bad, 10, V)) << "'" << Bad << "'";
+  EXPECT_FALSE(parseUnsigned("18446744073709551616", UINT64_MAX, V));
+  EXPECT_EQ(V, 7u) << "a rejected value leaves the output alone";
+}
+
+TEST(DriverTest, NumericFlagsRejectMalformedValues) {
+  // A clean input: a flag value that slipped through would run the
+  // batch and exit 0 instead of failing with a usage error.
+  std::string Dir = freshCacheDir("numeric-flags");
+  std::filesystem::create_directories(Dir);
+  std::string Input = Dir + "/clean.oir";
+  std::ofstream(Input) << CleanProgram;
+
+  for (const char *Flag :
+       {"--jobs=", "--deadline-ms=", "--mem-limit-mb=", "--kill-after-ms=",
+        "--retries=", "--retry-backoff-ms=", "--k=", "--race-jobs="})
+    for (const char *Bad : {"-1", "abc", "10x", ""}) {
+      std::string Arg = std::string(Flag) + Bad;
+      testing::internal::CaptureStderr();
+      int Exit = runBatchCommand({Arg, "--quiet", Input});
+      std::string Err = testing::internal::GetCapturedStderr();
+      EXPECT_EQ(Exit, ExitError) << Arg;
+      EXPECT_NE(Err.find("invalid value"), std::string::npos)
+          << Arg << ": " << Err;
+    }
+
+  // Out of range for a thread count, and past 64 bits.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(runBatchCommand(
+                {"--jobs=" + std::to_string(MaxThreadsFlag + 1), Input}),
+            ExitError);
+  EXPECT_EQ(runBatchCommand({"--deadline-ms=18446744073709551616", Input}),
+            ExitError);
+  testing::internal::GetCapturedStderr();
+
+  // Well-formed values still run.
+  std::string Out = Dir + "/report.jsonl";
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(runBatchCommand({"--jobs=2", "--k=1", "--deadline-ms=60000",
+                             "--quiet", "--out=" + Out, Input}),
+            ExitClean);
+  testing::internal::GetCapturedStderr();
+}
+
+TEST(DriverTest, ReportWriteFailureIsAnError) {
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "needs /dev/full";
+  std::string Dir = freshCacheDir("write-failure");
+  std::filesystem::create_directories(Dir);
+  std::string Input = Dir + "/racy.oir";
+  std::ofstream(Input) << RacyProgram;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(runBatchCommand({"--quiet", "--out=/dev/full", Input}),
+            ExitError);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("cannot write"),
+            std::string::npos);
+}
+
 TEST(DriverTest, LoadBaselineHandlesEscapesAndJunk) {
   Baseline B = loadBaseline(
       "not json at all\n"

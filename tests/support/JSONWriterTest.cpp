@@ -8,6 +8,7 @@
 
 #include "o2/Support/JSONWriter.h"
 
+#include <cstdio>
 #include <gtest/gtest.h>
 
 using namespace o2;
@@ -78,6 +79,72 @@ TEST(JSONWriterTest, ControlCharacterEscaping) {
     W.endArray();
   });
   EXPECT_EQ(Out, "[\"\\u0001\"]");
+}
+
+std::string renderString(std::string_view S) {
+  std::string Buf;
+  StringOutputStream OS(Buf);
+  JSONWriter W(OS);
+  W.value(S);
+  return Buf;
+}
+
+TEST(JSONWriterTest, EscapesAtTheEdgesAndAdjacent) {
+  EXPECT_EQ(renderString("\"abc\\"), R"("\"abc\\")");
+  EXPECT_EQ(renderString("\n\t\"\\\r"), R"("\n\t\"\\\r")");
+  EXPECT_EQ(renderString("a\nb\nc"), R"("a\nb\nc")");
+  EXPECT_EQ(renderString("\x1f"), R"("\u001f")");
+}
+
+TEST(JSONWriterTest, EmptyString) {
+  EXPECT_EQ(renderString(""), "\"\"");
+  EXPECT_EQ(renderString(std::string_view()), "\"\"");
+}
+
+TEST(JSONWriterTest, EmbeddedNul) {
+  EXPECT_EQ(renderString(std::string_view("a\0b", 3)), R"("a\u0000b")");
+  EXPECT_EQ(renderString(std::string_view("\0", 1)), R"("\u0000")");
+}
+
+TEST(JSONWriterTest, HighBytesPassThrough) {
+  // UTF-8 and stray high bytes are copied as they are; DEL is not a
+  // control character in JSON.
+  std::string S = "caf\xc3\xa9 \xff\x80\x7f";
+  EXPECT_EQ(renderString(S), "\"" + S + "\"");
+}
+
+TEST(JSONWriterTest, EveryByteEscapesLikeThePerCharacterRule) {
+  // Reference: the one-character-at-a-time escaping rule.
+  auto Reference = [](unsigned char C) -> std::string {
+    switch (C) {
+    case '"':
+      return "\\\"";
+    case '\\':
+      return "\\\\";
+    case '\n':
+      return "\\n";
+    case '\t':
+      return "\\t";
+    case '\r':
+      return "\\r";
+    }
+    if (C < 0x20) {
+      char Buf[7];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      return Buf;
+    }
+    return std::string(1, char(C));
+  };
+  std::string All, Expected = "\"";
+  for (unsigned C = 0; C < 256; ++C) {
+    All += char(C);
+    Expected += Reference(static_cast<unsigned char>(C));
+    // Each byte alone, and inside a run of plain text on both sides.
+    std::string Mid = "ab" + std::string(1, char(C)) + "cd";
+    EXPECT_EQ(renderString(Mid), "\"ab" + Reference(C) + "cd\"") << C;
+  }
+  Expected += "\"";
+  EXPECT_EQ(renderString(All), Expected);
 }
 
 TEST(JSONWriterTest, NegativeAndNull) {
