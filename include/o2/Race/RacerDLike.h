@@ -63,7 +63,10 @@ private:
 };
 
 /// Runs the syntactic detector directly over the IR. \p Cancel is polled
-/// in the access-collection and pairwise-warning loops.
+/// for every function the root-reachability walk visits, once per
+/// function during access collection, and once per class row of each
+/// key's pairing scan (classes are accesses with equal function, is-write
+/// and lockset).
 RacerDReport runRacerDLike(const Module &M,
                            const CancellationToken *Cancel = nullptr);
 

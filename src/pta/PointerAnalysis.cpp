@@ -108,7 +108,10 @@ public:
       R->Stats.set("pta.no-entry", 1);
       return std::move(R);
     }
-    processFunction(Main, InternTable::Empty);
+    // Main's own statements go in before the first poll, so a deadline
+    // that expired during setup still leaves a partial result holding the
+    // root's nodes (callees poll as usual).
+    processFunction(Main, InternTable::Empty, /*Poll=*/false);
     do {
       propagate();
     } while (applyRound());
@@ -827,15 +830,17 @@ private:
   // Statement processing
   //===--------------------------------------------------------------------===//
 
-  void processFunction(const Function *F, Ctx C) {
-    if (Stopped || checkCancelled())
+  /// Processes one ⟨function, context⟩ instance, polling the token on
+  /// entry and before each statement unless \p Poll is false.
+  void processFunction(const Function *F, Ctx C, bool Poll = true) {
+    if (Stopped || (Poll && checkCancelled()))
       return;
     uint64_t Key = (uint64_t(F->getId()) << 32) | C;
     if (!ProcessedInstances.insert(Key).second)
       return;
     R->Instances.emplace_back(F, C);
     for (const auto &S : F->body()) {
-      if (checkCancelled())
+      if (Poll && checkCancelled())
         return;
       processStmt(*S, F, C);
     }
