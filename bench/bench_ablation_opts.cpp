@@ -8,7 +8,10 @@
 //
 // Ablates the three sound optimizations of Section 4.1 on a large
 // lock-heavy workload: integer-ID happens-before, canonical lockset IDs
-// with caching, and lock-region merging. Counters report the detector's
+// with caching, and lock-region merging. The rows run the pairwise scan
+// of the test oracle (tests/race/RaceOracle.h), whose toggles switch each
+// optimization off; the production engine always has all three on and
+// is measured in bench_race_engine. Counters report the detector's
 // internal work (pairs checked, HB queries, lockset checks) so the
 // mechanism behind each speedup is visible, and "races" shows that the
 // verdicts do not degrade.
@@ -16,6 +19,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtils.h"
+
+#include "RaceOracle.h"
 
 using namespace o2;
 using namespace o2bench;
@@ -37,35 +42,32 @@ static WorkloadProfile ablationProfile() {
   return P;
 }
 
-static void BM_Ablation(benchmark::State &State, RaceDetectorOptions Opts) {
+static void BM_Ablation(benchmark::State &State,
+                        test::RaceOracleOptions Opts) {
   auto M = generateWorkload(ablationProfile());
   PTAOptions PTAOpts;
   PTAOpts.Kind = ContextKind::Origin;
   auto PTA = runPointerAnalysis(*M, PTAOpts);
-  SHBGraph SHB = buildSHBGraph(*PTA, Opts.SHB);
+  SHBGraph SHB = buildSHBGraph(*PTA);
   for (auto _ : State) {
-    RaceReport R = detectRaces(*PTA, SHB, Opts);
+    test::RaceOracleResult R = test::runRaceOracle(*PTA, SHB, Opts);
     State.counters["races"] = R.numRaces();
     State.counters["pairs"] =
-        static_cast<double>(R.stats().get("race.pairs-checked"));
+        static_cast<double>(R.Stats.get("race.pairs-checked"));
     State.counters["hb_queries"] =
-        static_cast<double>(R.stats().get("race.hb-queries"));
+        static_cast<double>(R.Stats.get("race.hb-queries"));
     State.counters["lockset_checks"] =
-        static_cast<double>(R.stats().get("race.lockset-checks"));
+        static_cast<double>(R.Stats.get("race.lockset-checks"));
     State.counters["merged"] =
-        static_cast<double>(R.stats().get("race.merged-accesses"));
+        static_cast<double>(R.Stats.get("race.merged-accesses"));
     benchmark::DoNotOptimize(R);
   }
 }
 
 int main(int Argc, char **Argv) {
   auto Register = [](const char *Name, bool HB, bool Lockset, bool Merge) {
-    RaceDetectorOptions Opts;
-    // The serial engine with the memoized fixpoint is the configuration
-    // the paper's Section 4.1 ablation describes; the parallel engine
-    // and the precomputed HB index are benchmarked in bench_race_engine.
-    Opts.Engine = RaceEngineKind::Serial;
-    Opts.HB = HB ? RaceHBKind::Memo : RaceHBKind::Naive;
+    test::RaceOracleOptions Opts;
+    Opts.IndexHB = HB;
     Opts.CacheLocksetChecks = Lockset;
     Opts.LockRegionMerging = Merge;
     benchmark::RegisterBenchmark(Name, BM_Ablation, Opts)

@@ -1,4 +1,4 @@
-//===- bench_race_engine.cpp - serial vs parallel race-engine scaling -----------===//
+//===- bench_race_engine.cpp - race-engine scaling ------------------------------===//
 //
 // Part of the O2 project, an implementation of the PLDI 2021 paper
 // "When Threads Meet Events: Efficient and Precise Static Race Detection
@@ -6,23 +6,23 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures the sharded, class-based race engine against the serial
-// pairwise oracle on race-heavy generated workloads, and ablates its two
-// index structures:
+// Measures the sharded, class-based race engine on race-heavy generated
+// workloads, and ablates its lockset index:
 //
-//   - engine/serial-*     : the serial engine, one line per HB mode
-//                           (naive BFS, memoized fixpoint, precomputed
-//                           index) — the HB-index speedup in isolation;
-//   - engine/parallel/J   : the parallel engine at J worker threads —
-//                           J=1 measures the pure class-math win, higher
-//                           J the sharding scalability;
-//   - engine/no-matrix/J  : parallel with the precomputed lockset matrix
-//                           disabled (shard-local memo caches instead).
+//   - engine/parallel/J   : the engine at J worker threads — J=1 measures
+//                           the pure class-math win, higher J the
+//                           sharding scalability;
+//   - engine/no-matrix/J  : the engine with the precomputed lockset
+//                           matrix disabled (shard-local memo caches
+//                           instead).
 //
 // Every line reports the race count and the schedule-independent work
 // counters, so a report divergence between configurations is visible
 // directly in the table (the counters must match across all of them; the
-// byte-level contract is enforced by ParallelRaceEngineTest and CI).
+// exact contract against the pairwise scan is enforced by
+// ParallelRaceEngineTest, and across worker counts by CI). The pairwise
+// scan itself, with each Section 4.1 optimization switched off, is
+// timed by bench_ablation_opts.
 // Pass --benchmark_format=json for machine-readable output.
 //
 //===----------------------------------------------------------------------===//
@@ -105,30 +105,14 @@ int main(int Argc, char **Argv) {
   for (unsigned Scale : {1u, 4u}) {
     std::string Tag = "/x" + std::to_string(Scale);
 
-    for (auto [HBName, HB] :
-         {std::pair<const char *, RaceHBKind>{"naive", RaceHBKind::Naive},
-          {"memo", RaceHBKind::Memo},
-          {"index", RaceHBKind::Index}}) {
-      // The naive BFS is quadratic per query; keep it off the big scale
-      // so the harness stays runnable as a CI smoke test.
-      if (Scale > 1 && HB == RaceHBKind::Naive)
-        continue;
-      RaceDetectorOptions Opts;
-      Opts.Engine = RaceEngineKind::Serial;
-      Opts.HB = HB;
-      Register("engine/serial-" + std::string(HBName) + Tag, Scale, Opts);
-    }
-
     for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
       RaceDetectorOptions Opts;
-      Opts.Engine = RaceEngineKind::Parallel;
       Opts.Jobs = Jobs;
       Opts.MinParallelLocations = 1;
       Register("engine/parallel/" + std::to_string(Jobs) + Tag, Scale, Opts);
     }
 
     RaceDetectorOptions NoMatrix;
-    NoMatrix.Engine = RaceEngineKind::Parallel;
     NoMatrix.Jobs = 4;
     NoMatrix.MinParallelLocations = 1;
     NoMatrix.LocksetMatrixMaxSize = 0;
@@ -137,6 +121,6 @@ int main(int Argc, char **Argv) {
 
   return runBenchmarks(
       Argc, Argv,
-      "Race-engine scaling: serial HB modes vs the sharded class-based "
-      "engine at 1/2/4/8 jobs (counters must agree across every row)");
+      "Race-engine scaling: the sharded class-based engine at 1/2/4/8 "
+      "jobs (counters must agree across every row)");
 }

@@ -19,6 +19,7 @@
 #include "o2/O2.h"
 #include "o2/Race/DeadlockDetector.h"
 #include "o2/Race/OverSync.h"
+#include "o2/SHB/HBIndex.h"
 #include "o2/Support/OutputStream.h"
 
 using namespace o2;
@@ -137,7 +138,8 @@ int main() {
   Result.Races.print(outs(), *Result.PTA);
 
   outs() << "\n--- lock-order deadlocks ---\n";
-  DeadlockReport Deadlocks = detectDeadlocks(*Result.PTA, Result.SHB);
+  HBIndex Index(Result.SHB);
+  DeadlockReport Deadlocks = detectDeadlocks(*Result.PTA, Result.SHB, Index);
   Deadlocks.print(outs(), *Result.PTA);
 
   outs() << "\n--- over-synchronization ---\n";

@@ -19,7 +19,8 @@
 // over-sync regions, RacerD warnings) are informational.
 //
 // Options:
-//   --ctx=<0-ctx|cfa|obj|origin>    context abstraction (default origin)
+//   --ctx=<0-ctx|cfa|obj|origin>    context abstraction (default origin;
+//                                   also insensitive, k-cfa, k-obj)
 //   --k=<n>                         context depth (default 1)
 //   --solver=<wave|worklist>        PTA constraint engine (default wave)
 //   --analyses=<list>               comma-separated analyses to run
@@ -30,14 +31,8 @@
 //   --stats                         print per-phase timings and analysis
 //                                   statistics as one JSON object line
 //   --no-serialize-events           disable the Section 4.2 treatment
-//   --race-engine=<parallel|serial> race-check engine (default parallel;
-//                                   both produce byte-identical reports)
-//   --race-hb=<index|memo|naive>    serial-engine happens-before queries
-//                                   (default index; naive is the oracle)
-//   --race-jobs=<n>                 parallel-engine worker threads
+//   --race-jobs=<n>                 race-engine worker threads
 //                                   (default: hardware concurrency)
-//   --naive                         disable all detector optimizations
-//                                   (serial engine, naive HB, no caches)
 //   --racerd                        shorthand: add racerd to --analyses
 //   --deadlocks                     shorthand: add deadlock to --analyses
 //   --oversync                      shorthand: add oversync to --analyses
@@ -45,6 +40,9 @@
 //   --dot-callgraph                 dump the call graph in Graphviz format
 //   --dot-shb                       dump the SHB thread graph in Graphviz
 //   --print-module                  echo the parsed module
+//
+// The --ctx, --k, --solver, --race-jobs and --analyses flags are parsed
+// by the same code as in o2batch (parseConfigFlag in o2/Driver/Driver.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +55,6 @@
 #include "o2/Support/OutputStream.h"
 #include "o2/Workload/BugModels.h"
 
-#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -71,7 +68,6 @@ struct CliOptions {
   std::string BugModelName;
   bool ListBugModels = false;
   bool PrintModule = false;
-  bool Naive = false;
   bool JSON = false;
   bool Stats = false;
   bool DotCallGraph = false;
@@ -85,97 +81,23 @@ struct CliOptions {
   O2Config Config;
 };
 
-/// Parses a numeric flag's value into \p Field; false after a diagnostic.
-bool parseNumber(const std::string &Arg, const std::string &Text,
-                 uint64_t Max, unsigned &Field) {
-  uint64_t V = 0;
-  if (!parseUnsigned(Text, Max, V)) {
-    errs() << "error: invalid value '" << Text << "' for "
-           << Arg.substr(0, Arg.find('=')) << " (expected an integer from 0 to "
-           << Max << ")\n";
-    return false;
-  }
-  Field = static_cast<unsigned>(V);
-  return true;
-}
-
 bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    auto Value = [&Arg](const char *Prefix) -> std::string {
-      return Arg.substr(std::string(Prefix).size());
-    };
+    FlagStatus Config =
+        parseConfigFlag(Arg, "error: ", Cli.Config, Cli.Analyses);
+    if (Config == FlagStatus::Invalid)
+      return false;
+    if (Config == FlagStatus::Parsed)
+      continue;
     if (Arg == "--list-bug-models") {
       Cli.ListBugModels = true;
     } else if (Arg == "--bug-model" && I + 1 < Argc) {
       Cli.BugModelName = Argv[++I];
-    } else if (Arg.rfind("--ctx=", 0) == 0) {
-      std::string Kind = Value("--ctx=");
-      if (Kind == "0-ctx")
-        Cli.Config.PTA.Kind = ContextKind::Insensitive;
-      else if (Kind == "cfa")
-        Cli.Config.PTA.Kind = ContextKind::KCallsite;
-      else if (Kind == "obj")
-        Cli.Config.PTA.Kind = ContextKind::KObject;
-      else if (Kind == "origin")
-        Cli.Config.PTA.Kind = ContextKind::Origin;
-      else {
-        errs() << "error: unknown context kind '" << Kind << "'\n";
-        return false;
-      }
-    } else if (Arg.rfind("--k=", 0) == 0) {
-      if (!parseNumber(Arg, Value("--k="), UINT32_MAX, Cli.Config.PTA.K))
-        return false;
-    } else if (Arg.rfind("--solver=", 0) == 0) {
-      std::string Solver = Value("--solver=");
-      if (Solver == "wave")
-        Cli.Config.PTA.Solver = SolverKind::Wave;
-      else if (Solver == "worklist")
-        Cli.Config.PTA.Solver = SolverKind::Worklist;
-      else {
-        errs() << "error: unknown solver '" << Solver << "'\n";
-        return false;
-      }
-    } else if (Arg.rfind("--analyses=", 0) == 0) {
-      std::string Err;
-      AnalysisSet Parsed;
-      if (!parseAnalysisSet(Value("--analyses="), Parsed, Err)) {
-        errs() << "error: " << Err << '\n';
-        return false;
-      }
-      Cli.Analyses = Parsed;
     } else if (Arg == "--stats") {
       Cli.Stats = true;
     } else if (Arg == "--no-serialize-events") {
       Cli.Config.Detector.SHB.SerializeEventHandlers = false;
-    } else if (Arg.rfind("--race-engine=", 0) == 0) {
-      std::string Engine = Value("--race-engine=");
-      if (Engine == "serial")
-        Cli.Config.Detector.Engine = RaceEngineKind::Serial;
-      else if (Engine == "parallel")
-        Cli.Config.Detector.Engine = RaceEngineKind::Parallel;
-      else {
-        errs() << "error: unknown race engine '" << Engine << "'\n";
-        return false;
-      }
-    } else if (Arg.rfind("--race-hb=", 0) == 0) {
-      std::string HB = Value("--race-hb=");
-      if (HB == "naive")
-        Cli.Config.Detector.HB = RaceHBKind::Naive;
-      else if (HB == "memo")
-        Cli.Config.Detector.HB = RaceHBKind::Memo;
-      else if (HB == "index")
-        Cli.Config.Detector.HB = RaceHBKind::Index;
-      else {
-        errs() << "error: unknown race HB mode '" << HB << "'\n";
-        return false;
-      }
-    } else if (Arg.rfind("--race-jobs=", 0) == 0) {
-      if (!parseNumber(Arg, Value("--race-jobs="), MaxThreadsFlag,
-                       Cli.Config.Detector.Jobs))
-        return false;
-    } else if (Arg == "--naive") {
-      Cli.Naive = true;
     } else if (Arg == "--racerd") {
       Cli.Extra.insert(O2Phase::RacerD);
     } else if (Arg == "--deadlocks") {
@@ -309,13 +231,6 @@ int main(int Argc, char **Argv) {
 
   if (Cli.PrintModule)
     outs() << printModule(*M) << '\n';
-
-  if (Cli.Naive) {
-    Cli.Config.Detector.Engine = RaceEngineKind::Serial;
-    Cli.Config.Detector.HB = RaceHBKind::Naive;
-    Cli.Config.Detector.CacheLocksetChecks = false;
-    Cli.Config.Detector.LockRegionMerging = false;
-  }
 
   AnalysisSet Set = Cli.Analyses;
   Set |= Cli.Extra;

@@ -19,7 +19,7 @@
 ///    the order the old facade hardwired),
 ///  - computes each result **once** per module and shares it with every
 ///    consumer (one PTA and one SHB feed race + deadlock + over-sync;
-///    one HBIndex feeds both race engines),
+///    one HBIndex feeds the race and deadlock detectors),
 ///  - threads the per-job CancellationToken uniformly through every pass
 ///    and records the pass it fired in, so a timeout in *any* analysis —
 ///    including the aux detectors — names the real phase,
@@ -138,8 +138,8 @@ struct O2Config {
   /// Pointer analysis configuration; defaults to 1-origin (OPA).
   PTAOptions PTA;
 
-  /// Detector configuration (all three optimizations on by default).
-  /// Detector.SHB also configures the shared SHB pass.
+  /// Detector configuration. Detector.SHB also configures the shared SHB
+  /// pass.
   RaceDetectorOptions Detector;
 
   /// Legacy facade switch: run OSA as part of analyzeModule (requires

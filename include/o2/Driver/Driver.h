@@ -334,6 +334,22 @@ bool parseUnsigned(std::string_view Text, uint64_t Max, uint64_t &Out);
 /// Largest value a thread-count flag (--jobs, --race-jobs) accepts.
 constexpr uint64_t MaxThreadsFlag = 4096;
 
+/// What parseConfigFlag made of one argument.
+enum class FlagStatus : uint8_t {
+  NotConfig, ///< Not one of the shared configuration flags.
+  Parsed,    ///< Stored into the configuration or the analysis set.
+  Invalid,   ///< A shared flag with a bad value, already diagnosed.
+};
+
+/// Parses one of the pipeline configuration flags that `o2batch` and
+/// `o2cli` share — `--ctx=`, `--k=`, `--solver=`, `--race-jobs=` and
+/// `--analyses=` — into \p Config or \p Analyses. `--ctx=` takes 0-ctx
+/// or insensitive, cfa or k-cfa, obj or k-obj, and origin. A bad value is
+/// reported on errs() as a line starting with \p Prefix, so each binary
+/// keeps its own diagnostic prefix.
+FlagStatus parseConfigFlag(const std::string &Arg, const char *Prefix,
+                           O2Config &Config, AnalysisSet &Analyses);
+
 /// The shared CLI behind `o2batch ...` and `o2cli --batch ...`: parses
 /// \p Args (flags plus positional .oir files / directories), runs the
 /// batch, writes the JSONL report and summary. Returns the process exit

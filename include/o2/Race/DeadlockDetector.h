@@ -29,6 +29,7 @@
 
 namespace o2 {
 
+class HBIndex;
 class OutputStream;
 
 /// One lock-order edge: thread T acquired Inner while holding Outer.
@@ -70,9 +71,12 @@ private:
   bool Cancelled = false;
 };
 
-/// Detects potential deadlocks over a prebuilt SHB graph. \p Cancel is
-/// polled in the edge-collection and cycle-search loops.
+/// Detects potential deadlocks over a prebuilt SHB graph; \p HBI (built
+/// over the same graph) prunes two-step cycles whose acquisitions are
+/// ordered by happens-before. \p Cancel is polled in the edge-collection
+/// and cycle-search loops.
 DeadlockReport detectDeadlocks(const PTAResult &PTA, const SHBGraph &SHB,
+                               const HBIndex &HBI,
                                const CancellationToken *Cancel = nullptr);
 
 } // namespace o2

@@ -8,34 +8,26 @@
 ///
 /// \file
 /// The race detection engine of Section 4: hybrid happens-before + lockset
-/// over the SHB graph. Two engines share one candidate collection and one
-/// report format:
+/// over the SHB graph, with the three optimizations of Section 4.1
+/// always on (integer happens-before through the precomputed HBIndex,
+/// canonical locksets with a precomputed intersection matrix, and
+/// lock-region merging).
 ///
-///  - **Serial** — the straightforward pairwise scan over every shared
-///    location, kept as the equivalence oracle. Each optimization of
-///    Section 4.1 can be disabled, which yields the D4-style straw-man
-///    detector the paper compares against.
+/// The sorted candidate-location list is sharded across a work-stealing
+/// thread pool. Per location, accesses are grouped into (thread, HB
+/// segment, lockset, is-write) equivalence classes, so the n^2 pairwise
+/// loop becomes c^2 class-pair checks: one lockset lookup and two
+/// reachability lookups decide a whole class pair, and the racy subset
+/// of a class pair is a prefix-rectangle found by binary search.
 ///
-///  - **Parallel** (default) — shards the sorted candidate-location list
-///    across a work-stealing thread pool and, per location, groups
-///    accesses into (thread, HB segment, lockset, is-write) equivalence
-///    classes so the n^2 pairwise loop becomes c^2 class-pair checks:
-///    one lockset lookup and two precomputed reachability lookups decide
-///    a whole class pair, and the racy subset of a class pair is a
-///    prefix-rectangle found by binary search. Happens-before is answered
-///    by the precomputed HBIndex (O(1) per query) and lockset
-///    intersection by the precomputed LocksetMatrix when the interned
-///    universe is small (shard-local caches otherwise).
-///
-/// The parallel engine is *report- and statistics-deterministic*: for any
-/// worker count it produces byte-identical reports — and equal counters —
-/// to the serial engine, because per-location results are merged in
-/// canonical (sorted-location) order and every counter accounts for the
-/// pairs a class pair covers rather than the lookups actually performed.
-/// Two exceptions fall back to the serial path: a finite MaxPairChecks
-/// budget (budget exhaustion is defined by the serial scan order), and
-/// cancellation makes *which* locations complete timing-dependent in
-/// either engine.
+/// Reports and counters are deterministic: for any worker count the
+/// engine produces byte-identical reports and equal counters, because
+/// per-location results are merged in canonical (sorted-location) order
+/// and every counter charges the pairs a class pair covers — what the
+/// plain pairwise scan over the merged accesses would do — rather than
+/// the lookups actually performed. That pairwise scan is the test oracle
+/// (tests/race/RaceOracle.h). Cancellation is the one exception: which
+/// locations complete before the token fires is timing-dependent.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,85 +46,41 @@ class HBIndex;
 class OutputStream;
 class ThreadPool;
 
-namespace race_detail {
-struct RaceReportAccess;
-} // namespace race_detail
-
-/// Which race-check engine runs the pairing phase.
-enum class RaceEngineKind : uint8_t {
-  Serial,   ///< Pairwise oracle; required for finite MaxPairChecks.
-  Parallel, ///< Sharded, class-based, index-accelerated engine.
-};
-
-/// How happens-before queries are answered.
-enum class RaceHBKind : uint8_t {
-  Naive, ///< Per-event BFS over the SHB graph (D4-style straw man).
-  Memo,  ///< SHBGraph's memoized spawn-bucket reachability (optimization
-         ///< 1 as shipped before the index; serial engine only).
-  Index, ///< Precomputed HBIndex, O(1) per query (default).
-};
-
 struct RaceDetectorOptions {
-  /// Engine selection (`o2cli --race-engine=`). The parallel engine falls
-  /// back to the serial path when MaxPairChecks is finite.
-  RaceEngineKind Engine = RaceEngineKind::Parallel;
-
-  /// Happens-before implementation (`o2cli --race-hb=`). All three are
-  /// semantically identical; Naive is the correctness oracle for the
-  /// index. The parallel engine always derives verdicts from the index
-  /// (its class math *is* the index); the knob selects the serial
-  /// engine's query path.
-  RaceHBKind HB = RaceHBKind::Index;
-
-  /// Optimization 2: canonical lockset IDs with cached intersections
-  /// (and, in the parallel engine, the precomputed intersection matrix).
-  bool CacheLocksetChecks = true;
-
-  /// Optimization 3: merge same-location accesses within a lock region.
-  bool LockRegionMerging = true;
-
   /// Treat accesses to `atomic` fields and globals as synchronization
   /// rather than data: no races are reported on them (the paper's
   /// future-work treatment of std::atomic).
   bool HandleAtomics = true;
 
-  /// Parallel engine: worker threads (0 = hardware concurrency). The
-  /// calling thread always participates, so Jobs=1 runs inline.
+  /// Worker threads (0 = hardware concurrency). The calling thread
+  /// always participates, so Jobs=1 runs inline.
   unsigned Jobs = 0;
 
-  /// Parallel engine: external pool to run shards on instead of spawning
-  /// one (not owned). The caller participates in the work and never
-  /// blocks on unrelated tasks, so sharing the batch driver's pool is
-  /// safe even when every pool worker is busy with other modules.
+  /// External pool to run shards on instead of spawning one (not
+  /// owned). The caller participates in the work and never blocks on
+  /// unrelated tasks, so sharing the batch driver's pool is safe even
+  /// when every pool worker is busy with other modules.
   ThreadPool *Pool = nullptr;
 
-  /// Parallel engine: below this many candidate locations the sharding
-  /// overhead cannot pay off and the scan runs inline on the caller.
+  /// Below this many candidate locations the sharding overhead cannot
+  /// pay off and the scan runs inline on the caller.
   unsigned MinParallelLocations = 33;
 
-  /// Parallel engine: build the full lockset-intersection bit matrix
-  /// when the interned universe has at most this many locksets
-  /// (quadratic bits); larger universes use shard-local caches.
+  /// Build the full lockset-intersection bit matrix when the interned
+  /// universe has at most this many locksets (quadratic bits); larger
+  /// universes use shard-local caches.
   unsigned LocksetMatrixMaxSize = 2048;
 
-  /// Hard cap on conflicting pairs checked; exceeding it aborts the scan
-  /// and sets the "race.budget-hit" statistic — benchmark harnesses use
-  /// this the way the paper reports ">4h" detector runs. Forces the
-  /// serial engine (the budget is defined by the serial scan order).
-  uint64_t MaxPairChecks = ~uint64_t(0);
-
-  /// Optional cooperative cancellation, polled per candidate pair
-  /// (serial) or per candidate location (parallel); on expiry the scan
-  /// stops and the partial report is flagged (the "race.cancelled"
-  /// statistic). Not owned.
+  /// Optional cooperative cancellation, polled per candidate location;
+  /// on expiry the scan stops and the partial report is flagged (the
+  /// "race.cancelled" statistic). Not owned.
   const CancellationToken *Cancel = nullptr;
 
   /// Optional prebuilt HBIndex over the same SHB graph (not owned). When
-  /// set, the engines use it instead of building their own — the
+  /// set, the engine uses it instead of building its own — the
   /// AnalysisManager passes the shared HBIndex pass result here so one
-  /// index build serves any number of detector runs. Only consulted on
-  /// the paths that would have built one (parallel engine; serial with
-  /// HB == Index): reports and statistics are unaffected.
+  /// index build serves any number of detector runs. Reports and
+  /// statistics are unaffected.
   const HBIndex *Index = nullptr;
 
   /// Forwarded to the SHB builder when the detector builds its own graph.
@@ -156,8 +104,8 @@ public:
   unsigned numRaces() const { return static_cast<unsigned>(Races.size()); }
 
   /// Detector counters: pairs checked, HB queries, lockset checks,
-  /// shared locations, threads, events. Counters are engine-independent
-  /// (see file comment); only `race.*-cache-*` diagnostics may differ.
+  /// shared locations, threads, events. Counters are independent of the
+  /// worker count (see file comment).
   const StatisticRegistry &stats() const { return Stats; }
 
   /// Prints a human-readable report.
@@ -171,9 +119,8 @@ public:
   bool cancelled() const { return Cancelled; }
 
 private:
-  friend class RaceDetector;
-  friend class ParallelRaceEngine;
-  friend struct race_detail::RaceReportAccess;
+  friend RaceReport detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
+                                const RaceDetectorOptions &Opts);
 
   bool Cancelled = false;
   std::vector<Race> Races;

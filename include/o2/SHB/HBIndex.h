@@ -7,30 +7,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Immutable, fully precomputed query indexes over a built SHBGraph.
+/// Immutable, fully precomputed query indexes over a built SHBGraph: one
+/// up-front construction pass buys O(1), lock-free lookups that any
+/// number of race-engine workers can share.
 ///
-/// `SHBGraph::happensBefore` and `SHBGraph::locksetsIntersect` answer
-/// queries through mutable memoization caches, which is fine for the
-/// serial detector but (a) re-runs the spawn/join fixpoint on every cache
-/// miss and (b) cannot be shared across the parallel race engine's worker
-/// threads. The two classes here trade one up-front construction pass for
-/// O(1), lock-free, shareable lookups:
-///
-///  - HBIndex: per-segment reachability clocks. Each thread's trace is
-///    cut into segments at its spawn-edge positions (cross-thread
-///    reachability only changes when the source position crosses a spawn
-///    edge — the same bucketing SHBGraph's memo cache uses); for every
-///    segment the index stores the earliest reachable position of every
-///    thread. A happens-before query is then one row lookup plus an
-///    integer compare. Semantically identical to both
-///    `SHBGraph::happensBefore` and `happensBeforeNaive`
-///    (HBIndexTest asserts all three agree on every event pair).
+///  - HBIndex: per-segment reachability clocks, the only happens-before
+///    implementation in the library. Each thread's trace is cut into
+///    segments at its spawn-edge positions (cross-thread reachability
+///    only changes when the source position crosses a spawn edge); for
+///    every segment the index stores the earliest reachable position of
+///    every thread. A happens-before query is then one row lookup plus an
+///    integer compare. HBIndexTest checks it against a breadth-first
+///    search over individual (thread, position) nodes on every event
+///    pair of the test corpus.
 ///
 ///  - LocksetMatrix: the full pairwise intersection relation of the
-///    interned lockset universe as one bit matrix, built with the
-///    uncached merge test. The race engines consult it when the universe
-///    is small (quadratic memory); otherwise the parallel engine falls
-///    back to shard-local memo caches.
+///    interned lockset universe as one bit matrix, built with
+///    SHBGraph::locksetsIntersect. The race engine consults it when the
+///    universe is small (quadratic memory) and otherwise keeps
+///    shard-local memo caches.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,8 +67,9 @@ public:
   /// source thread (O(1)).
   uint32_t reach(unsigned Row, unsigned T2) const { return row(Row)[T2]; }
 
-  /// Happens-before with the same semantics as SHBGraph::happensBefore:
-  /// integer comparison intra-thread, precomputed reachability across.
+  /// True if position \p P1 of thread \p T1 happens before position
+  /// \p P2 of thread \p T2: integer comparison intra-thread, precomputed
+  /// reachability across.
   bool happensBefore(unsigned T1, uint32_t P1, unsigned T2,
                      uint32_t P2) const {
     if (T1 == T2)
@@ -90,7 +86,7 @@ public:
 private:
   unsigned NumThreads = 0;
   /// Per thread: positions of its spawn edges (ascending, duplicates kept
-  /// so segment ids line up with SHBGraph's spawn-edge buckets).
+  /// so segment ids line up with the thread's spawn-edge indices).
   std::vector<std::vector<uint32_t>> SpawnPos;
   /// Per thread: first row id of its segments.
   std::vector<unsigned> RowBase;

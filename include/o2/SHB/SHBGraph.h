@@ -15,9 +15,10 @@
 ///  - Intra-thread happens-before is represented by monotonically
 ///    increasing integer positions instead of explicit edges
 ///    (optimization 1 of Section 4.1): checking order is an integer
-///    comparison.
-///  - Locksets are interned into canonical lockset IDs with a cached
-///    intersection test (optimization 2).
+///    comparison. Cross-thread queries go through the precomputed
+///    HBIndex (o2/SHB/HBIndex.h).
+///  - Locksets are interned into canonical lockset IDs (optimization 2);
+///    LocksetMatrix precomputes their pairwise intersection.
 ///  - Lock regions are tracked so the detector can merge all accesses to
 ///    the same location within one region (optimization 3).
 ///  - Inter-thread edges exist only at spawns (entry ⇒ origin_first) and
@@ -25,6 +26,9 @@
 ///
 /// Event-handler threads can be serialized by an implicit global lock
 /// (the paper's Android treatment, Section 4.2).
+///
+/// The graph is immutable once built and holds no caches, so any number
+/// of threads may query it at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +39,6 @@
 #include "o2/PTA/PointerAnalysis.h"
 #include "o2/Support/InternTable.h"
 
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 namespace o2 {
@@ -132,26 +134,9 @@ public:
   /// [0, numLocksets()); 0 is the empty lockset).
   size_t numLocksets() const { return Locksets.size(); }
 
-  /// True if the two locksets share a lock (optimization 2: canonical IDs
-  /// with a memoized pairwise test).
+  /// True if the two locksets share a lock: a linear merge over their
+  /// sorted canonical element lists.
   bool locksetsIntersect(LocksetId A, LocksetId B) const;
-
-  /// Same test without canonical-ID caching (the baseline the paper's
-  /// optimization is measured against).
-  bool locksetsIntersectUncached(LocksetId A, LocksetId B) const;
-
-  /// Happens-before between position \p P1 of thread \p T1 and position
-  /// \p P2 of thread \p T2, via integer comparison intra-thread and a
-  /// memoized fixpoint over spawn/join edges across threads.
-  bool happensBefore(unsigned T1, uint32_t P1, unsigned T2,
-                     uint32_t P2) const;
-
-  /// Reference implementation: breadth-first search over individual
-  /// (thread, position) nodes, the way a straw-man SHB traversal would.
-  /// Semantically identical to happensBefore(); used as the soundness
-  /// oracle and the D4-style baseline.
-  bool happensBeforeNaive(unsigned T1, uint32_t P1, unsigned T2,
-                          uint32_t P2) const;
 
   /// The implicit lock element serializing event handlers.
   static constexpr uint32_t UILockElem = 0xfffffffeu;
@@ -172,14 +157,6 @@ private:
   bool EntryMissing = false;
   std::vector<ThreadInfo> Threads;
   InternTable Locksets;
-  mutable std::unordered_map<uint64_t, bool> IntersectCache;
-  /// HB cache: (thread, spawn-bucket) -> earliest reachable position per
-  /// thread. Buckets make the cache finite: reachability only changes at
-  /// spawn-edge boundaries.
-  mutable std::map<std::pair<unsigned, size_t>, std::vector<uint32_t>>
-      ReachCache;
-
-  const std::vector<uint32_t> &reachFrom(unsigned T, uint32_t P) const;
 };
 
 /// Builds the SHB graph from a pointer-analysis result.

@@ -60,13 +60,9 @@ constexpr std::array<uint32_t, NumO2Phases> PassVersion = {
     /*RacerD=*/1,   /*Escape=*/1,
 };
 
-/// Declared dependencies of pass \p K under \p Config. Every dependency
-/// has a smaller enum value, so ascending enum order is a topological
-/// schedule. The race pass only depends on the HBIndex pass when the
-/// selected engine actually consults the index — pre-building it for the
-/// naive/memo ablations would distort exactly the measurements those
-/// modes exist for.
-SmallVector<O2Phase, 3> depsOf(O2Phase K, const O2Config &Config) {
+/// Declared dependencies of pass \p K. Every dependency has a smaller
+/// enum value, so ascending enum order is a topological schedule.
+SmallVector<O2Phase, 3> depsOf(O2Phase K) {
   switch (K) {
   case O2Phase::None:
   case O2Phase::PTA:
@@ -79,18 +75,9 @@ SmallVector<O2Phase, 3> depsOf(O2Phase K, const O2Config &Config) {
     return {O2Phase::PTA};
   case O2Phase::HBIndex:
     return {O2Phase::PTA, O2Phase::SHB};
-  case O2Phase::Detect: {
-    // The parallel engine's class math is built on the index; the serial
-    // engine uses it only under --race-hb=index. A finite pair budget
-    // forces the serial path (see RaceDetector.h).
-    bool Parallel = Config.Detector.Engine == RaceEngineKind::Parallel &&
-                    Config.Detector.MaxPairChecks == ~uint64_t(0);
-    if (Parallel || Config.Detector.HB == RaceHBKind::Index)
-      return {O2Phase::PTA, O2Phase::SHB, O2Phase::HBIndex};
-    return {O2Phase::PTA, O2Phase::SHB};
-  }
+  case O2Phase::Detect:
   case O2Phase::Deadlock:
-    return {O2Phase::PTA, O2Phase::SHB};
+    return {O2Phase::PTA, O2Phase::SHB, O2Phase::HBIndex};
   case O2Phase::OverSync:
     return {O2Phase::PTA, O2Phase::OSA, O2Phase::SHB};
   }
@@ -143,17 +130,10 @@ uint64_t localFingerprint(O2Phase K, const O2Config &Config) {
     return H;
   }
   case O2Phase::Detect: {
-    const RaceDetectorOptions &O = Config.Detector;
-    // Engine/HB selection changes diagnostics-level counters and the
-    // budget semantics; worker counts, pools and matrix thresholds are
-    // pure performance knobs and deliberately excluded (the engines'
-    // reports are deterministic for any of them).
-    H = hashU64(static_cast<uint64_t>(O.Engine), H);
-    H = hashU64(static_cast<uint64_t>(O.HB), H);
-    H = hashU64(O.CacheLocksetChecks, H);
-    H = hashU64(O.LockRegionMerging, H);
-    H = hashU64(O.HandleAtomics, H);
-    H = hashU64(O.MaxPairChecks, H);
+    // Worker counts, pools and matrix thresholds are pure performance
+    // knobs and deliberately excluded (the engine's reports are
+    // deterministic for any of them).
+    H = hashU64(Config.Detector.HandleAtomics, H);
     return H;
   }
   case O2Phase::None:
@@ -170,8 +150,7 @@ uint64_t localFingerprint(O2Phase K, const O2Config &Config) {
 }
 
 /// Dependency closure of \p Set as a per-pass bool mask.
-std::array<bool, NumO2Phases> closureOf(AnalysisSet Set,
-                                        const O2Config &Config) {
+std::array<bool, NumO2Phases> closureOf(AnalysisSet Set) {
   std::array<bool, NumO2Phases> In{};
   for (unsigned K = 0; K < NumO2Phases; ++K)
     if (Set.contains(static_cast<O2Phase>(K)))
@@ -179,7 +158,7 @@ std::array<bool, NumO2Phases> closureOf(AnalysisSet Set,
   // Deps have smaller values: one descending sweep closes the set.
   for (unsigned K = NumO2Phases; K-- > 1;)
     if (In[K])
-      for (O2Phase D : depsOf(static_cast<O2Phase>(K), Config))
+      for (O2Phase D : depsOf(static_cast<O2Phase>(K)))
         In[idx(D)] = true;
   In[idx(O2Phase::None)] = false;
   return In;
@@ -236,13 +215,13 @@ bool o2::parseAnalysisSet(const std::string &Spec, AnalysisSet &Out,
 
 uint64_t o2::passFingerprint(O2Phase K, const O2Config &Config) {
   uint64_t H = localFingerprint(K, Config);
-  for (O2Phase D : depsOf(K, Config))
+  for (O2Phase D : depsOf(K))
     H = hashU64(passFingerprint(D, Config), H);
   return H;
 }
 
 uint64_t o2::analysisSetFingerprint(AnalysisSet Set, const O2Config &Config) {
-  std::array<bool, NumO2Phases> In = closureOf(Set, Config);
+  std::array<bool, NumO2Phases> In = closureOf(Set);
   uint64_t H = 1469598103934665603ull;
   for (unsigned K = 1; K < NumO2Phases; ++K)
     if (In[K])
@@ -285,7 +264,7 @@ AnalysisManager::AnalysisManager(const Module &M, const O2Config &Config)
 AnalysisManager::~AnalysisManager() = default;
 
 bool AnalysisManager::run(AnalysisSet Set) {
-  std::array<bool, NumO2Phases> In = closureOf(Set, Config);
+  std::array<bool, NumO2Phases> In = closureOf(Set);
   for (unsigned K = 1; K < NumO2Phases; ++K)
     if (In[K]) {
       if (cancelled())
@@ -298,7 +277,7 @@ bool AnalysisManager::run(AnalysisSet Set) {
 void AnalysisManager::ensure(O2Phase K) {
   if (P->Ran[idx(K)] || cancelled())
     return;
-  for (O2Phase D : depsOf(K, Config)) {
+  for (O2Phase D : depsOf(K)) {
     ensure(D);
     if (cancelled())
       return;
@@ -352,14 +331,14 @@ void AnalysisManager::runPass(O2Phase K) {
     break;
   case O2Phase::Detect: {
     RaceDetectorOptions Opts = Config.Detector;
-    if (P->Index)
-      Opts.Index = P->Index.get();
+    Opts.Index = P->Index.get();
     P->Races = detectRaces(*P->PTA, P->SHB, Opts);
     PassCancelled = P->Races.cancelled();
     break;
   }
   case O2Phase::Deadlock:
-    P->Deadlocks = detectDeadlocks(*P->PTA, P->SHB, Config.Cancel);
+    P->Deadlocks =
+        detectDeadlocks(*P->PTA, P->SHB, *P->Index, Config.Cancel);
     PassCancelled = P->Deadlocks.cancelled();
     break;
   case O2Phase::OverSync:

@@ -26,7 +26,6 @@
 #include <filesystem>
 #include <string_view>
 #include <thread>
-#include <type_traits>
 #include <unordered_map>
 
 using namespace o2;
@@ -430,13 +429,10 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
 /// Context-insensitive points-to is a strict over-approximation of
 /// origin-sensitive points-to (merging contexts only adds may-alias
 /// facts), so every real race remains reported — the fallback trades
-/// precision (more false positives), never recall. The race-pair budget
-/// also gets slack so the cheaper abstraction is less likely to trip it.
+/// precision (more false positives), never recall.
 static O2Config degradedConfigFor(const O2Config &Cfg) {
   O2Config D = Cfg;
   D.PTA.Kind = ContextKind::Insensitive;
-  if (D.Detector.MaxPairChecks != ~uint64_t(0))
-    D.Detector.MaxPairChecks *= 4;
   return D;
 }
 
@@ -862,12 +858,10 @@ static void printBatchUsage(OutputStream &OS) {
         "(repeatable)\n"
      << "  --profiles=table5 add every benchmark profile as a job\n"
      << "  --ctx=K           context kind: 0-ctx, cfa, obj, origin "
-        "(default: origin)\n"
+        "(default: origin;\n"
+     << "                    also insensitive, k-cfa, k-obj)\n"
      << "  --k=N             context depth for cfa/obj\n"
      << "  --solver=S        pta solver: wave, worklist\n"
-     << "  --race-engine=E   race engine: parallel (default), serial\n"
-     << "  --race-hb=H       serial-engine HB queries: index (default), "
-        "memo, naive\n"
      << "  --race-jobs=N     race-engine worker cap per module (default: "
         "share the batch pool)\n"
      << "  --quiet           no human-readable summary on stderr\n"
@@ -886,6 +880,77 @@ bool o2::parseUnsigned(std::string_view Text, uint64_t Max, uint64_t &Out) {
   return true;
 }
 
+/// Parses the value of the numeric flag \p Arg ("--name=value") into
+/// \p Field; false after a diagnostic that starts with \p Prefix.
+template <typename T>
+static bool parseNumberFlag(const std::string &Arg, const char *Prefix,
+                            uint64_t Max, T &Field) {
+  std::string Value = Arg.substr(Arg.find('=') + 1);
+  uint64_t V = 0;
+  if (!parseUnsigned(Value, Max, V)) {
+    errs() << Prefix << "invalid value '" << Value << "' for "
+           << Arg.substr(0, Arg.find('=')) << " (expected an integer from 0 to "
+           << Max << ")\n";
+    return false;
+  }
+  Field = static_cast<T>(V);
+  return true;
+}
+
+/// Durations and sizes are doubled or scaled to bytes downstream; this
+/// cap keeps the results in 64 bits.
+static constexpr uint64_t MaxCount = UINT32_MAX;
+
+FlagStatus o2::parseConfigFlag(const std::string &Arg, const char *Prefix,
+                               O2Config &Config, AnalysisSet &Analyses) {
+  auto Value = [&Arg] { return Arg.substr(Arg.find('=') + 1); };
+  auto Status = [](bool Ok) {
+    return Ok ? FlagStatus::Parsed : FlagStatus::Invalid;
+  };
+  if (Arg.rfind("--ctx=", 0) == 0) {
+    std::string V = Value();
+    if (V == "0-ctx" || V == "insensitive")
+      Config.PTA.Kind = ContextKind::Insensitive;
+    else if (V == "cfa" || V == "k-cfa")
+      Config.PTA.Kind = ContextKind::KCallsite;
+    else if (V == "obj" || V == "k-obj")
+      Config.PTA.Kind = ContextKind::KObject;
+    else if (V == "origin")
+      Config.PTA.Kind = ContextKind::Origin;
+    else {
+      errs() << Prefix << "unknown context kind '" << V << "'\n";
+      return FlagStatus::Invalid;
+    }
+    return FlagStatus::Parsed;
+  }
+  if (Arg.rfind("--k=", 0) == 0)
+    return Status(parseNumberFlag(Arg, Prefix, MaxCount, Config.PTA.K));
+  if (Arg.rfind("--solver=", 0) == 0) {
+    std::string V = Value();
+    if (V == "wave")
+      Config.PTA.Solver = SolverKind::Wave;
+    else if (V == "worklist")
+      Config.PTA.Solver = SolverKind::Worklist;
+    else {
+      errs() << Prefix << "unknown solver '" << V << "'\n";
+      return FlagStatus::Invalid;
+    }
+    return FlagStatus::Parsed;
+  }
+  if (Arg.rfind("--race-jobs=", 0) == 0)
+    return Status(
+        parseNumberFlag(Arg, Prefix, MaxThreadsFlag, Config.Detector.Jobs));
+  if (Arg.rfind("--analyses=", 0) == 0) {
+    std::string Err;
+    if (!parseAnalysisSet(Value(), Analyses, Err)) {
+      errs() << Prefix << Err << "\n";
+      return FlagStatus::Invalid;
+    }
+    return FlagStatus::Parsed;
+  }
+  return FlagStatus::NotConfig;
+}
+
 int o2::runBatchCommand(const std::vector<std::string> &Args) {
   BatchOptions Opts;
   std::vector<std::string> Inputs;
@@ -894,36 +959,24 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
   bool Quiet = false;
   std::string OutPath, BaselinePath;
 
-  // Durations and sizes are doubled or scaled to bytes downstream; this
-  // cap keeps the results in 64 bits.
-  constexpr uint64_t MaxCount = UINT32_MAX;
-
   for (const std::string &Arg : Args) {
     auto Value = [&Arg] { return Arg.substr(Arg.find('=') + 1); };
     // Parses the flag's value into Field; false after a diagnostic.
-    auto Number = [&Arg, &Value](uint64_t Max, auto &Field) {
-      uint64_t V = 0;
-      if (!parseUnsigned(Value(), Max, V)) {
-        errs() << "o2batch: invalid value '" << Value() << "' for "
-               << Arg.substr(0, Arg.find('=')) << " (expected an integer "
-               << "from 0 to " << Max << ")\n";
-        return false;
-      }
-      Field = static_cast<std::remove_reference_t<decltype(Field)>>(V);
-      return true;
+    auto Number = [&Arg](uint64_t Max, auto &Field) {
+      return parseNumberFlag(Arg, "o2batch: ", Max, Field);
     };
+    FlagStatus Config =
+        parseConfigFlag(Arg, "o2batch: ", Opts.Config, Opts.Analyses);
+    if (Config == FlagStatus::Invalid)
+      return ExitError;
+    if (Config == FlagStatus::Parsed)
+      continue;
     if (Arg == "--help" || Arg == "-h") {
       printBatchUsage(outs());
       return ExitClean;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
       if (!Number(MaxThreadsFlag, Opts.Jobs))
         return ExitError;
-    } else if (Arg.rfind("--analyses=", 0) == 0) {
-      std::string Err;
-      if (!parseAnalysisSet(Value(), Opts.Analyses, Err)) {
-        errs() << "o2batch: " << Err << "\n";
-        return ExitError;
-      }
     } else if (Arg.rfind("--cache-dir=", 0) == 0) {
       Opts.CacheDir = Value();
     } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
@@ -973,58 +1026,6 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
       ProfileNames.push_back(Value());
     } else if (Arg == "--profiles=table5" || Arg == "--profiles=all") {
       AllProfiles = true;
-    } else if (Arg.rfind("--ctx=", 0) == 0) {
-      std::string V = Value();
-      if (V == "0-ctx" || V == "insensitive")
-        Opts.Config.PTA.Kind = ContextKind::Insensitive;
-      else if (V == "cfa" || V == "k-cfa")
-        Opts.Config.PTA.Kind = ContextKind::KCallsite;
-      else if (V == "obj" || V == "k-obj")
-        Opts.Config.PTA.Kind = ContextKind::KObject;
-      else if (V == "origin")
-        Opts.Config.PTA.Kind = ContextKind::Origin;
-      else {
-        errs() << "o2batch: unknown context kind '" << V << "'\n";
-        return ExitError;
-      }
-    } else if (Arg.rfind("--k=", 0) == 0) {
-      if (!Number(MaxCount, Opts.Config.PTA.K))
-        return ExitError;
-    } else if (Arg.rfind("--solver=", 0) == 0) {
-      std::string V = Value();
-      if (V == "wave")
-        Opts.Config.PTA.Solver = SolverKind::Wave;
-      else if (V == "worklist")
-        Opts.Config.PTA.Solver = SolverKind::Worklist;
-      else {
-        errs() << "o2batch: unknown solver '" << V << "'\n";
-        return ExitError;
-      }
-    } else if (Arg.rfind("--race-engine=", 0) == 0) {
-      std::string V = Value();
-      if (V == "serial")
-        Opts.Config.Detector.Engine = RaceEngineKind::Serial;
-      else if (V == "parallel")
-        Opts.Config.Detector.Engine = RaceEngineKind::Parallel;
-      else {
-        errs() << "o2batch: unknown race engine '" << V << "'\n";
-        return ExitError;
-      }
-    } else if (Arg.rfind("--race-hb=", 0) == 0) {
-      std::string V = Value();
-      if (V == "naive")
-        Opts.Config.Detector.HB = RaceHBKind::Naive;
-      else if (V == "memo")
-        Opts.Config.Detector.HB = RaceHBKind::Memo;
-      else if (V == "index")
-        Opts.Config.Detector.HB = RaceHBKind::Index;
-      else {
-        errs() << "o2batch: unknown race HB mode '" << V << "'\n";
-        return ExitError;
-      }
-    } else if (Arg.rfind("--race-jobs=", 0) == 0) {
-      if (!Number(MaxThreadsFlag, Opts.Config.Detector.Jobs))
-        return ExitError;
     } else if (Arg == "--quiet") {
       Quiet = true;
     } else if (Arg.rfind("--", 0) == 0) {

@@ -9,6 +9,7 @@
 #include "o2/Race/DeadlockDetector.h"
 
 #include "o2/IR/Printer.h"
+#include "o2/SHB/HBIndex.h"
 #include "o2/Support/OutputStream.h"
 
 #include <algorithm>
@@ -21,9 +22,9 @@ namespace o2 {
 
 class DeadlockDetector {
 public:
-  DeadlockDetector(const PTAResult &PTA, const SHBGraph &SHB,
+  DeadlockDetector(const SHBGraph &SHB, const HBIndex &HBI,
                    const CancellationToken *Cancel)
-      : PTA(PTA), SHB(SHB), Cancel(Cancel) {}
+      : SHB(SHB), HBI(HBI), Cancel(Cancel) {}
 
   DeadlockReport run() {
     collectEdges();
@@ -146,8 +147,8 @@ private:
       const AcquireEvent *EA = findAcquire(A);
       const AcquireEvent *EB = findAcquire(B);
       if (EA && EB &&
-          (SHB.happensBefore(EA->Thread, EA->Pos, EB->Thread, EB->Pos) ||
-           SHB.happensBefore(EB->Thread, EB->Pos, EA->Thread, EA->Pos)))
+          (HBI.happensBefore(EA->Thread, EA->Pos, EB->Thread, EB->Pos) ||
+           HBI.happensBefore(EB->Thread, EB->Pos, EA->Thread, EA->Pos)))
         return;
     }
 
@@ -172,8 +173,8 @@ private:
     return nullptr;
   }
 
-  const PTAResult &PTA;
   const SHBGraph &SHB;
+  const HBIndex &HBI;
   const CancellationToken *Cancel;
   DeadlockReport R;
   std::set<std::vector<uint32_t>> SeenCycles;
@@ -196,7 +197,8 @@ void DeadlockReport::print(OutputStream &OS, const PTAResult &PTA) const {
   }
 }
 
-DeadlockReport o2::detectDeadlocks(const PTAResult &PTA, const SHBGraph &SHB,
+DeadlockReport o2::detectDeadlocks(const PTAResult &, const SHBGraph &SHB,
+                                   const HBIndex &HBI,
                                    const CancellationToken *Cancel) {
-  return DeadlockDetector(PTA, SHB, Cancel).run();
+  return DeadlockDetector(SHB, HBI, Cancel).run();
 }

@@ -26,13 +26,12 @@ HBIndex::HBIndex(const SHBGraph &SHB) {
   }
   Reach.assign(NumRows * NumThreads, Unreached);
 
-  // One spawn/join fixpoint per (thread, segment), identical to the one
-  // SHBGraph::reachFrom memoizes on demand: a segment reaches its own
-  // thread from the next spawn-edge position (the positions before it
-  // are ordered by the intra-thread integer comparison instead), spawn
-  // edges at or after the reached position fire into the child's start,
-  // and a thread's join edges fire as soon as any of its positions is
-  // reachable.
+  // One spawn/join fixpoint per (thread, segment): a segment reaches its
+  // own thread from the next spawn-edge position (the positions before
+  // it are ordered by the intra-thread integer comparison instead),
+  // spawn edges at or after the reached position fire into the child's
+  // start, and a thread's join edges fire as soon as any of its
+  // positions is reachable.
   for (const ThreadInfo &Src : Threads) {
     for (size_t Seg = 0; Seg <= Src.SpawnEdges.size(); ++Seg) {
       uint32_t *Row = Reach.data() +
@@ -71,7 +70,7 @@ LocksetMatrix::LocksetMatrix(const SHBGraph &SHB) {
   Bits.assign((N * N + 63) / 64, 0);
   for (LocksetId A = 0; A < N; ++A)
     for (LocksetId B = A; B < N; ++B)
-      if (SHB.locksetsIntersectUncached(A, B)) {
+      if (SHB.locksetsIntersect(A, B)) {
         size_t AB = size_t(A) * N + B, BA = size_t(B) * N + A;
         Bits[AB >> 6] |= uint64_t(1) << (AB & 63);
         Bits[BA >> 6] |= uint64_t(1) << (BA & 63);

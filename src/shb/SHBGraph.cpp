@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <unordered_set>
 
 using namespace o2;
@@ -28,7 +29,7 @@ uint64_t SHBGraph::numAccessEvents() const {
   return N;
 }
 
-bool SHBGraph::locksetsIntersectUncached(LocksetId A, LocksetId B) const {
+bool SHBGraph::locksetsIntersect(LocksetId A, LocksetId B) const {
   if (A == InternTable::Empty || B == InternTable::Empty)
     return false;
   // Elements are interned in sorted order: linear merge.
@@ -42,105 +43,6 @@ bool SHBGraph::locksetsIntersectUncached(LocksetId A, LocksetId B) const {
       ++I;
     else
       ++J;
-  }
-  return false;
-}
-
-bool SHBGraph::locksetsIntersect(LocksetId A, LocksetId B) const {
-  if (A == B)
-    return A != InternTable::Empty;
-  uint64_t Key = A < B ? (uint64_t(A) << 32) | B : (uint64_t(B) << 32) | A;
-  auto [It, Inserted] = IntersectCache.emplace(Key, false);
-  if (Inserted)
-    It->second = locksetsIntersectUncached(A, B);
-  return It->second;
-}
-
-static constexpr uint32_t Unreached = ~uint32_t(0);
-
-/// Earliest position of every thread that is ordered after (T, P).
-const std::vector<uint32_t> &SHBGraph::reachFrom(unsigned T,
-                                                 uint32_t P) const {
-  const ThreadInfo &Src = Threads[T];
-  // Reachability only changes when P crosses a spawn-edge position, so
-  // bucket the cache by the index of the first spawn edge at or after P.
-  size_t Bucket = std::lower_bound(Src.SpawnEdges.begin(),
-                                   Src.SpawnEdges.end(), P,
-                                   [](const auto &Edge, uint32_t Pos) {
-                                     return Edge.first < Pos;
-                                   }) -
-                  Src.SpawnEdges.begin();
-  auto [It, Inserted] = ReachCache.try_emplace({T, Bucket});
-  if (!Inserted)
-    return It->second;
-
-  std::vector<uint32_t> &Reach = It->second;
-  Reach.assign(Threads.size(), Unreached);
-  Reach[T] = Bucket < Src.SpawnEdges.size() ? Src.SpawnEdges[Bucket].first
-                                            : Src.NumEvents;
-  // Fixpoint over spawn and join edges.
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (const ThreadInfo &Cur : Threads) {
-      uint32_t From = Reach[Cur.Id];
-      if (From == Unreached)
-        continue;
-      for (const auto &[Pos, Child] : Cur.SpawnEdges) {
-        if (Pos < From)
-          continue;
-        if (Reach[Child] != 0) {
-          Reach[Child] = 0;
-          Changed = true;
-        }
-      }
-      // The thread's end is reachable whenever any position is, so its
-      // join edges always fire once the thread is reached.
-      for (const auto &[Joiner, Pos] : Cur.Joins) {
-        if (Pos < Reach[Joiner]) {
-          Reach[Joiner] = Pos;
-          Changed = true;
-        }
-      }
-    }
-  }
-  return Reach;
-}
-
-bool SHBGraph::happensBefore(unsigned T1, uint32_t P1, unsigned T2,
-                             uint32_t P2) const {
-  if (T1 == T2)
-    return P1 < P2; // optimization 1: integer comparison
-  const std::vector<uint32_t> &Reach = reachFrom(T1, P1);
-  return Reach[T2] != Unreached && Reach[T2] <= P2;
-}
-
-bool SHBGraph::happensBeforeNaive(unsigned T1, uint32_t P1, unsigned T2,
-                                  uint32_t P2) const {
-  if (T1 == T2)
-    return P1 < P2;
-  // Straw-man search over individual (thread, position) nodes.
-  std::unordered_set<uint64_t> Visited;
-  std::deque<std::pair<unsigned, uint32_t>> Queue;
-  auto Push = [&](unsigned T, uint32_t P) {
-    if (Visited.insert((uint64_t(T) << 32) | P).second)
-      Queue.emplace_back(T, P);
-  };
-  Push(T1, P1);
-  while (!Queue.empty()) {
-    auto [T, P] = Queue.front();
-    Queue.pop_front();
-    if (T == T2 && P <= P2 && !(T == T1 && P == P1))
-      return true;
-    const ThreadInfo &TI = Threads[T];
-    if (P + 1 < TI.NumEvents)
-      Push(T, P + 1);
-    for (const auto &[Pos, Child] : TI.SpawnEdges)
-      if (Pos == P)
-        Push(Child, 0);
-    if (P + 1 >= TI.NumEvents)
-      for (const auto &[Joiner, Pos] : TI.Joins)
-        Push(Joiner, Pos);
   }
   return false;
 }

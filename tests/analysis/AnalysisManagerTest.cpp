@@ -87,20 +87,22 @@ TEST(AnalysisManagerTest, LazyGettersComputeClosureOnDemand) {
   AnalysisManager AM(*M);
   EXPECT_FALSE(AM.ran(O2Phase::PTA));
 
-  // getDeadlocks() pulls in exactly its dependency closure: PTA and SHB,
-  // but neither OSA nor the race detector.
+  // getDeadlocks() pulls in exactly its dependency closure: PTA, SHB and
+  // the HBIndex, but neither OSA nor the race detector.
   (void)AM.getDeadlocks();
   EXPECT_TRUE(AM.ran(O2Phase::PTA));
   EXPECT_TRUE(AM.ran(O2Phase::SHB));
+  EXPECT_TRUE(AM.ran(O2Phase::HBIndex));
   EXPECT_TRUE(AM.ran(O2Phase::Deadlock));
   EXPECT_FALSE(AM.ran(O2Phase::OSA));
   EXPECT_FALSE(AM.ran(O2Phase::Detect));
   EXPECT_FALSE(AM.ran(O2Phase::RacerD));
 
-  // Pulling the race report afterwards reuses both.
+  // Pulling the race report afterwards reuses all three.
   EXPECT_EQ(AM.getRaces().numRaces(), 1u);
   EXPECT_EQ(AM.invocations(O2Phase::PTA), 1u);
   EXPECT_EQ(AM.invocations(O2Phase::SHB), 1u);
+  EXPECT_EQ(AM.invocations(O2Phase::HBIndex), 1u);
 }
 
 TEST(AnalysisManagerTest, ManagerMatchesFacade) {
@@ -148,12 +150,12 @@ TEST(AnalysisManagerTest, FingerprintTracksResultAffectingOptions) {
             passFingerprint(O2Phase::RacerD, Worklist));
 
   // Detector options stay local to the detector.
-  O2Config Serial;
-  Serial.Detector.Engine = RaceEngineKind::Serial;
+  O2Config NoAtomics;
+  NoAtomics.Detector.HandleAtomics = false;
   EXPECT_EQ(passFingerprint(O2Phase::PTA, Base),
-            passFingerprint(O2Phase::PTA, Serial));
+            passFingerprint(O2Phase::PTA, NoAtomics));
   EXPECT_NE(passFingerprint(O2Phase::Detect, Base),
-            passFingerprint(O2Phase::Detect, Serial));
+            passFingerprint(O2Phase::Detect, NoAtomics));
 
   // SHB options reach the detector through the dependency closure.
   O2Config NoSerialize;

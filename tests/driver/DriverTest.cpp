@@ -1007,6 +1007,71 @@ TEST(DriverTest, NumericFlagsRejectMalformedValues) {
   testing::internal::GetCapturedStderr();
 }
 
+TEST(DriverTest, ConfigFlagsAcceptEveryContextSpelling) {
+  // o2batch and o2cli share this parser, so a spelling one binary takes
+  // the other takes too.
+  const struct {
+    const char *Spelling;
+    ContextKind Kind;
+  } Cases[] = {
+      {"0-ctx", ContextKind::Insensitive},
+      {"insensitive", ContextKind::Insensitive},
+      {"cfa", ContextKind::KCallsite},
+      {"k-cfa", ContextKind::KCallsite},
+      {"obj", ContextKind::KObject},
+      {"k-obj", ContextKind::KObject},
+      {"origin", ContextKind::Origin},
+  };
+  for (const auto &C : Cases) {
+    O2Config Config;
+    Config.PTA.Kind = C.Kind == ContextKind::Origin ? ContextKind::Insensitive
+                                                    : ContextKind::Origin;
+    AnalysisSet Analyses = AnalysisSet::defaultSet();
+    EXPECT_EQ(parseConfigFlag(std::string("--ctx=") + C.Spelling, "t: ",
+                              Config, Analyses),
+              FlagStatus::Parsed)
+        << C.Spelling;
+    EXPECT_EQ(Config.PTA.Kind, C.Kind) << C.Spelling;
+  }
+
+  O2Config Config;
+  AnalysisSet Analyses = AnalysisSet::defaultSet();
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(parseConfigFlag("--ctx=2-cfa", "t: ", Config, Analyses),
+            FlagStatus::Invalid);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "t: unknown context kind '2-cfa'\n");
+  EXPECT_EQ(Config.PTA.Kind, ContextKind::Origin);
+
+  // The other shared flags, and one that is not shared.
+  EXPECT_EQ(parseConfigFlag("--k=3", "t: ", Config, Analyses),
+            FlagStatus::Parsed);
+  EXPECT_EQ(Config.PTA.K, 3u);
+  EXPECT_EQ(parseConfigFlag("--solver=worklist", "t: ", Config, Analyses),
+            FlagStatus::Parsed);
+  EXPECT_EQ(Config.PTA.Solver, SolverKind::Worklist);
+  EXPECT_EQ(parseConfigFlag("--race-jobs=2", "t: ", Config, Analyses),
+            FlagStatus::Parsed);
+  EXPECT_EQ(Config.Detector.Jobs, 2u);
+  EXPECT_EQ(parseConfigFlag("--analyses=racerd", "t: ", Config, Analyses),
+            FlagStatus::Parsed);
+  EXPECT_TRUE(Analyses.contains(O2Phase::RacerD));
+  EXPECT_FALSE(Analyses.contains(O2Phase::Detect));
+  EXPECT_EQ(parseConfigFlag("--jobs=2", "t: ", Config, Analyses),
+            FlagStatus::NotConfig);
+
+  // Through the batch command: every spelling runs the batch.
+  std::string Dir = freshCacheDir("ctx-spellings");
+  std::filesystem::create_directories(Dir);
+  std::string Input = Dir + "/clean.oir";
+  std::ofstream(Input) << CleanProgram;
+  for (const auto &C : Cases)
+    EXPECT_NE(runBatchCommand({std::string("--ctx=") + C.Spelling, "--quiet",
+                               "--out=" + Dir + "/report.jsonl", Input}),
+              ExitError)
+        << C.Spelling;
+}
+
 TEST(DriverTest, ReportWriteFailureIsAnError) {
   if (!std::filesystem::exists("/dev/full"))
     GTEST_SKIP() << "needs /dev/full";

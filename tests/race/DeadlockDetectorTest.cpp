@@ -10,6 +10,7 @@
 
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
+#include "o2/SHB/HBIndex.h"
 #include "o2/Support/OutputStream.h"
 
 #include <gtest/gtest.h>
@@ -33,7 +34,7 @@ DeadlockReport detect(const Module &M) {
   Opts.Kind = ContextKind::Origin;
   auto PTA = runPointerAnalysis(M, Opts);
   SHBGraph SHB = buildSHBGraph(*PTA);
-  return detectDeadlocks(*PTA, SHB);
+  return detectDeadlocks(*PTA, SHB, HBIndex(SHB));
 }
 
 /// Two threads taking two locks; the acquisition order is a parameter.
@@ -288,7 +289,7 @@ TEST(DeadlockDetectorTest, ReportPrints) {
   Opts.Kind = ContextKind::Origin;
   auto PTA = runPointerAnalysis(*M, Opts);
   SHBGraph SHB = buildSHBGraph(*PTA);
-  DeadlockReport R = detectDeadlocks(*PTA, SHB);
+  DeadlockReport R = detectDeadlocks(*PTA, SHB, HBIndex(SHB));
   std::string Buf;
   StringOutputStream OS(Buf);
   R.print(OS, *PTA);

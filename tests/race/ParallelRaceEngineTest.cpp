@@ -1,4 +1,4 @@
-//===- ParallelRaceEngineTest.cpp - serial/parallel engine equivalence ---------===//
+//===- ParallelRaceEngineTest.cpp - engine vs pairwise oracle --------------===//
 //
 // Part of the O2 project, an implementation of the PLDI 2021 paper
 // "When Threads Meet Events: Efficient and Precise Static Race Detection
@@ -6,15 +6,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The parallel race engine's determinism contract: byte-identical reports
-// and equal statistics (modulo `race.*-cache-*` diagnostics) with the
-// serial engine, on every bundled example and generated workload, at any
-// worker count — including forced sharding of tiny candidate lists, an
-// external shared pool, and the serial fallback for finite pair budgets.
+// The race engine's determinism contract: the same races, in the same
+// order with the same payloads, and exactly the same counters as the
+// pairwise oracle (tests/race/RaceOracle.h), on every bundled example and
+// generated workload, at any worker count — including forced sharding of
+// tiny candidate lists, an external shared pool, and the matrix-less
+// lockset path.
 //
 //===----------------------------------------------------------------------===//
 
-#include "o2/Race/RaceDetector.h"
+#include "RaceOracle.h"
 
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
@@ -25,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <map>
 #include <sstream>
 
 using namespace o2;
@@ -61,23 +61,23 @@ std::unique_ptr<PTAResult> runOPA(const Module &M) {
   return runPointerAnalysis(M, Opts);
 }
 
-std::string render(const RaceReport &R, const PTAResult &PTA) {
+/// Every field of every race, in report order: equal renderings mean the
+/// printed and JSON reports are byte-identical.
+std::string render(const std::vector<Race> &Races, const PTAResult &PTA) {
   std::string Buf;
   StringOutputStream OS(Buf);
-  R.print(OS, PTA);
-  R.printJSON(OS, PTA);
+  for (const Race &Rc : Races)
+    OS << Rc.Loc.toString(PTA) << ' ' << Rc.A->getId() << ' '
+       << Rc.B->getId() << ' ' << Rc.ThreadA << ' ' << Rc.ThreadB << ' '
+       << Rc.AIsWrite << ' ' << Rc.BIsWrite << '\n';
   return Buf;
 }
 
-/// Stats with the explicitly schedule-dependent diagnostics removed (the
-/// equivalence contract allows engines to differ in `race.*-cache-*`
-/// occupancy counters only).
-std::map<std::string, uint64_t> comparableStats(const RaceReport &R) {
-  std::map<std::string, uint64_t> Out;
-  for (const auto &[Name, Value] : R.stats().counters())
-    if (Name.find("-cache-") == std::string::npos)
-      Out[Name] = Value;
-  return Out;
+/// The engine's report against the oracle's: same races, same counters.
+void expectMatchesOracle(const RaceReport &R, const test::RaceOracleResult &O,
+                         const PTAResult &PTA, const std::string &Tag) {
+  EXPECT_EQ(render(R.races(), PTA), render(O.Races, PTA)) << Tag;
+  EXPECT_EQ(R.stats().counters(), O.Stats.counters()) << Tag;
 }
 
 class ParallelRaceEngine : public ::testing::TestWithParam<std::string> {};
@@ -87,17 +87,11 @@ TEST_P(ParallelRaceEngine, ByteIdenticalToSerial) {
   ASSERT_TRUE(M);
   auto PTA = runOPA(*M);
   SHBGraph SHB = buildSHBGraph(*PTA);
+  test::RaceOracleResult Oracle = test::runRaceOracle(*PTA, SHB);
 
-  RaceDetectorOptions SerialOpts;
-  SerialOpts.Engine = RaceEngineKind::Serial;
-  RaceReport Serial = detectRaces(*PTA, SHB, SerialOpts);
-  std::string SerialText = render(Serial, *PTA);
-  auto SerialStats = comparableStats(Serial);
-
-  for (unsigned Jobs : {1u, 2u, 8u}) {
+  for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
     for (unsigned MinPar : {0u, 1u}) {
       RaceDetectorOptions Par;
-      Par.Engine = RaceEngineKind::Parallel;
       Par.Jobs = Jobs;
       // MinPar == 1 forces real sharding even on tiny candidate lists;
       // MinPar == 0 keeps the production inline-below-threshold default.
@@ -106,8 +100,7 @@ TEST_P(ParallelRaceEngine, ByteIdenticalToSerial) {
       RaceReport R = detectRaces(*PTA, SHB, Par);
       std::string Tag = GetParam() + "/jobs=" + std::to_string(Jobs) +
                         "/minpar=" + std::to_string(MinPar);
-      EXPECT_EQ(render(R, *PTA), SerialText) << Tag;
-      EXPECT_EQ(comparableStats(R), SerialStats) << Tag;
+      expectMatchesOracle(R, Oracle, *PTA, Tag);
     }
   }
 }
@@ -117,23 +110,18 @@ TEST_P(ParallelRaceEngine, SharedExternalPool) {
   ASSERT_TRUE(M);
   auto PTA = runOPA(*M);
   SHBGraph SHB = buildSHBGraph(*PTA);
-
-  RaceDetectorOptions SerialOpts;
-  SerialOpts.Engine = RaceEngineKind::Serial;
-  RaceReport Serial = detectRaces(*PTA, SHB, SerialOpts);
+  test::RaceOracleResult Oracle = test::runRaceOracle(*PTA, SHB);
 
   ThreadPool Pool(4);
   RaceDetectorOptions Par;
-  Par.Engine = RaceEngineKind::Parallel;
   Par.Pool = &Pool;
   Par.MinParallelLocations = 1;
   // Two runs on one borrowed pool: late tasks of the first run must not
   // disturb the second.
   RaceReport R1 = detectRaces(*PTA, SHB, Par);
   RaceReport R2 = detectRaces(*PTA, SHB, Par);
-  EXPECT_EQ(render(R1, *PTA), render(Serial, *PTA)) << GetParam();
-  EXPECT_EQ(render(R2, *PTA), render(Serial, *PTA)) << GetParam();
-  EXPECT_EQ(comparableStats(R1), comparableStats(Serial)) << GetParam();
+  expectMatchesOracle(R1, Oracle, *PTA, GetParam() + "/run1");
+  expectMatchesOracle(R2, Oracle, *PTA, GetParam() + "/run2");
 }
 
 TEST_P(ParallelRaceEngine, SmallLocksetMatrixLimitStaysIdentical) {
@@ -141,20 +129,15 @@ TEST_P(ParallelRaceEngine, SmallLocksetMatrixLimitStaysIdentical) {
   ASSERT_TRUE(M);
   auto PTA = runOPA(*M);
   SHBGraph SHB = buildSHBGraph(*PTA);
-
-  RaceDetectorOptions SerialOpts;
-  SerialOpts.Engine = RaceEngineKind::Serial;
-  RaceReport Serial = detectRaces(*PTA, SHB, SerialOpts);
+  test::RaceOracleResult Oracle = test::runRaceOracle(*PTA, SHB);
 
   // Forbid the precomputed matrix so the shard-local cache path runs.
   RaceDetectorOptions Par;
-  Par.Engine = RaceEngineKind::Parallel;
   Par.MinParallelLocations = 1;
   Par.LocksetMatrixMaxSize = 0;
   Par.Jobs = 4;
   RaceReport R = detectRaces(*PTA, SHB, Par);
-  EXPECT_EQ(render(R, *PTA), render(Serial, *PTA)) << GetParam();
-  EXPECT_EQ(comparableStats(R), comparableStats(Serial)) << GetParam();
+  expectMatchesOracle(R, Oracle, *PTA, GetParam());
 }
 
 std::vector<std::string> engineCases() {
@@ -174,56 +157,28 @@ INSTANTIATE_TEST_SUITE_P(Corpus, ParallelRaceEngine,
                          ::testing::ValuesIn(engineCases()),
                          [](const auto &Info) { return Info.param; });
 
-TEST(ParallelRaceEngineFallback, FiniteBudgetMatchesSerialExactly) {
-  auto M = loadCase("oir_racy_counter");
-  ASSERT_TRUE(M);
-  auto PTA = runOPA(*M);
-  SHBGraph SHB = buildSHBGraph(*PTA);
-
-  for (uint64_t Budget : {0ull, 1ull, 3ull, 1000ull}) {
-    RaceDetectorOptions SerialOpts;
-    SerialOpts.Engine = RaceEngineKind::Serial;
-    SerialOpts.MaxPairChecks = Budget;
-    RaceReport Serial = detectRaces(*PTA, SHB, SerialOpts);
-
-    RaceDetectorOptions Par = SerialOpts;
-    Par.Engine = RaceEngineKind::Parallel;
-    RaceReport R = detectRaces(*PTA, SHB, Par);
-    EXPECT_EQ(render(R, *PTA), render(Serial, *PTA)) << "budget " << Budget;
-    EXPECT_EQ(comparableStats(R), comparableStats(Serial))
-        << "budget " << Budget;
-  }
-}
-
 TEST(SerialHBModes, IndexMatchesMemoAndNaiveQueries) {
   // The acceptance oracle for the O(1) HB index: on every corpus module
-  // the serial engine issues the same number of HB queries and reports
-  // the same races whether queries go through the naive BFS, the
-  // memoized fixpoint, or the precomputed index.
+  // the pairwise scan issues the same HB queries and reports the same
+  // races whether they go through the breadth-first search or through the
+  // precomputed index, which the engine's class math is built on.
   for (const std::string &Name : engineCases()) {
     auto M = loadCase(Name);
     ASSERT_TRUE(M);
     auto PTA = runOPA(*M);
     SHBGraph SHB = buildSHBGraph(*PTA);
 
-    std::string Rendered[3];
-    uint64_t Queries[3];
-    int I = 0;
-    for (RaceHBKind HB :
-         {RaceHBKind::Naive, RaceHBKind::Memo, RaceHBKind::Index}) {
-      RaceDetectorOptions Opts;
-      Opts.Engine = RaceEngineKind::Serial;
-      Opts.HB = HB;
-      RaceReport R = detectRaces(*PTA, SHB, Opts);
-      Rendered[I] = render(R, *PTA);
-      Queries[I] = R.stats().get("race.hb-queries");
-      ++I;
-    }
-    // Reports are byte-identical except for the index-only
-    // "race.hb-index-segments" statistic line.
-    EXPECT_EQ(Rendered[0], Rendered[1]) << Name;
-    EXPECT_EQ(Queries[0], Queries[1]) << Name;
-    EXPECT_EQ(Queries[0], Queries[2]) << Name;
+    test::RaceOracleOptions BFS;
+    BFS.IndexHB = false;
+    test::RaceOracleResult ByBFS = test::runRaceOracle(*PTA, SHB, BFS);
+    test::RaceOracleResult ByIndex = test::runRaceOracle(*PTA, SHB);
+    EXPECT_EQ(render(ByBFS.Races, *PTA), render(ByIndex.Races, *PTA)) << Name;
+    // Every counter agrees except the index-only segment count.
+    StatisticRegistry IndexStats = ByIndex.Stats;
+    IndexStats.set("race.hb-index-segments", 0);
+    StatisticRegistry BFSStats = ByBFS.Stats;
+    BFSStats.set("race.hb-index-segments", 0);
+    EXPECT_EQ(BFSStats.counters(), IndexStats.counters()) << Name;
   }
 }
 

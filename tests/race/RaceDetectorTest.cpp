@@ -8,6 +8,8 @@
 
 #include "o2/Race/RaceDetector.h"
 
+#include "RaceOracle.h"
+
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
 #include "o2/Support/OutputStream.h"
@@ -428,35 +430,32 @@ TEST(RaceDetectorTest, LockRegionMergingPreservesRaces) {
   PTAOpts.Kind = ContextKind::Origin;
   auto PTA = runPointerAnalysis(*M, PTAOpts);
 
-  RaceDetectorOptions Optimized; // all on
-  RaceReport ROpt = detectRaces(*PTA, Optimized);
+  RaceReport ROpt = detectRaces(*PTA);
 
-  RaceDetectorOptions Naive;
-  Naive.Engine = RaceEngineKind::Serial;
-  Naive.HB = RaceHBKind::Naive;
-  Naive.CacheLocksetChecks = false;
-  Naive.LockRegionMerging = false;
-  RaceReport RNaive = detectRaces(*PTA, Naive);
+  // The D4-style straw man: every optimization off, merging included.
+  SHBGraph SHB = buildSHBGraph(*PTA);
+  test::RaceOracleResult RNaive =
+      test::runRaceOracle(*PTA, SHB, test::RaceOracleOptions::strawMan());
 
   // Merging may collapse several racy pairs inside one lock region into a
   // representative, but must preserve exactly the racy locations.
   std::set<uint64_t> OptLocs, NaiveLocs;
   for (const Race &Rc : ROpt.races())
     OptLocs.insert(Rc.Loc.key());
-  for (const Race &Rc : RNaive.races())
+  for (const Race &Rc : RNaive.Races)
     NaiveLocs.insert(Rc.Loc.key());
   EXPECT_EQ(OptLocs, NaiveLocs);
   EXPECT_LE(ROpt.numRaces(), RNaive.numRaces());
   EXPECT_GE(ROpt.numRaces(), 1u);
   // Every optimized race is also a naive race.
   std::set<std::pair<const Stmt *, const Stmt *>> NaivePairs;
-  for (const Race &Rc : RNaive.races())
+  for (const Race &Rc : RNaive.Races)
     NaivePairs.insert({Rc.A, Rc.B});
   for (const Race &Rc : ROpt.races())
     EXPECT_TRUE(NaivePairs.count({Rc.A, Rc.B}));
   // ... with strictly less work for the merged configuration.
   EXPECT_LT(ROpt.stats().get("race.pairs-checked"),
-            RNaive.stats().get("race.pairs-checked"));
+            RNaive.Stats.get("race.pairs-checked"));
   EXPECT_GE(ROpt.stats().get("race.merged-accesses"), 1u);
 }
 
@@ -484,51 +483,6 @@ TEST(RaceDetectorTest, ReportPrinting) {
   R.print(OS, *PTA);
   EXPECT_NE(Buf.find("race on @g"), std::string::npos);
   EXPECT_NE(Buf.find("write"), std::string::npos);
-}
-
-TEST(RaceDetectorTest, BudgetExhaustionAlwaysSetsBudgetHit) {
-  // Three threads hammering one location: several conflicting pairs, all
-  // at the *last* (only) candidate with pairs — the case where the old
-  // detector returned from checkLocation without ever setting
-  // "race.budget-hit" because only the next loop iteration checked it.
-  auto M = parseProgram(R"(
-    class Obj { field v: int; }
-    class T {
-      field s: Obj;
-      method init(s: Obj) { this.s = s; }
-      method run() { var o: Obj; var x: int; o = this.s; o.v = x; }
-    }
-    func main() {
-      var s: Obj;
-      var t1: T;
-      var t2: T;
-      var t3: T;
-      s = new Obj;
-      t1 = new T(s);
-      t2 = new T(s);
-      t3 = new T(s);
-      spawn t1.run();
-      spawn t2.run();
-      spawn t3.run();
-    }
-  )");
-  uint64_t Total =
-      detect(*M).stats().get("race.pairs-checked");
-  ASSERT_GE(Total, 2u);
-
-  // One pair short: the tripping pair is denied, not half-counted.
-  RaceDetectorOptions Opts;
-  Opts.MaxPairChecks = Total - 1;
-  RaceReport Hit = detect(*M, ContextKind::Origin, Opts);
-  EXPECT_EQ(Hit.stats().get("race.budget-hit"), 1u);
-  EXPECT_EQ(Hit.stats().get("race.pairs-checked"), Total - 1);
-
-  // An exactly-sufficient budget completes without tripping.
-  Opts.MaxPairChecks = Total;
-  RaceReport Fits = detect(*M, ContextKind::Origin, Opts);
-  EXPECT_EQ(Fits.stats().get("race.budget-hit"), 0u);
-  EXPECT_EQ(Fits.stats().get("race.pairs-checked"), Total);
-  EXPECT_EQ(Fits.numRaces(), detect(*M).numRaces());
 }
 
 } // namespace

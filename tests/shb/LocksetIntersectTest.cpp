@@ -7,16 +7,19 @@
 //===----------------------------------------------------------------------===//
 //
 // The three lockset-intersection implementations must agree on every pair
-// of interned locksets of every corpus module: the memoized per-pair
-// cache (`locksetsIntersect`), the cache-free scan the parallel shards
-// use (`locksetsIntersectUncached`), and the precomputed bit matrix
-// (`LocksetMatrix`). A disagreement would make the engines' race verdicts
-// diverge, so this is a property test over the whole interned universe,
-// not spot checks.
+// of interned locksets of every corpus module: the merge test
+// (`SHBGraph::locksetsIntersect`, which the race engine's shards memoize
+// when the matrix is too large), the precomputed bit matrix
+// (`LocksetMatrix`), and the pairwise oracle's per-pair cache
+// (`test::LocksetCache`). A disagreement would make the engine and the
+// oracle diverge, so this is a property test over the whole interned
+// universe, not spot checks.
 //
 //===----------------------------------------------------------------------===//
 
 #include "o2/SHB/HBIndex.h"
+
+#include "RaceOracle.h"
 
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
@@ -86,6 +89,7 @@ TEST_P(LocksetIntersect, AllImplementationsAgreeOnAllInternedPairs) {
   ASSERT_TRUE(M);
   SHBGraph G = buildGraph(*M);
   LocksetMatrix Matrix(G);
+  test::LocksetCache Cache(G);
 
   size_t N = G.numLocksets();
   ASSERT_GE(N, 1u) << "empty lockset is always interned";
@@ -94,9 +98,9 @@ TEST_P(LocksetIntersect, AllImplementationsAgreeOnAllInternedPairs) {
   for (LocksetId A = 0; A < N; ++A) {
     for (LocksetId B = 0; B < N; ++B) {
       bool Ref = refIntersect(G, A, B);
-      EXPECT_EQ(G.locksetsIntersect(A, B), Ref)
+      EXPECT_EQ(Cache.intersect(A, B), Ref)
           << GetParam() << " cached (" << A << "," << B << ")";
-      EXPECT_EQ(G.locksetsIntersectUncached(A, B), Ref)
+      EXPECT_EQ(G.locksetsIntersect(A, B), Ref)
           << GetParam() << " uncached (" << A << "," << B << ")";
       EXPECT_EQ(Matrix.intersect(A, B), Ref)
           << GetParam() << " matrix (" << A << "," << B << ")";

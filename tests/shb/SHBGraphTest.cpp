@@ -8,8 +8,11 @@
 
 #include "o2/SHB/SHBGraph.h"
 
+#include "RaceOracle.h"
+
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
+#include "o2/SHB/HBIndex.h"
 
 #include <gtest/gtest.h>
 
@@ -97,33 +100,35 @@ TEST(SHBGraphTest, ForkJoinHappensBefore) {
   uint32_t SpawnPos = Main.SpawnEdges[0].first;
   ASSERT_EQ(G.thread(1).Joins.size(), 1u);
   uint32_t JoinPos = G.thread(1).Joins[0].second;
+  HBIndex HB(G);
 
   // Before the spawn HB into the child...
-  EXPECT_TRUE(G.happensBefore(0, SpawnPos, 1, 0));
-  EXPECT_TRUE(G.happensBefore(0, 0, 1, 5));
+  EXPECT_TRUE(HB.happensBefore(0, SpawnPos, 1, 0));
+  EXPECT_TRUE(HB.happensBefore(0, 0, 1, 5));
   // ... but not after it.
-  EXPECT_FALSE(G.happensBefore(0, SpawnPos + 1, 1, 0));
+  EXPECT_FALSE(HB.happensBefore(0, SpawnPos + 1, 1, 0));
   // The child HB into main after the join...
-  EXPECT_TRUE(G.happensBefore(1, 0, 0, JoinPos));
-  EXPECT_TRUE(G.happensBefore(1, 3, 0, JoinPos + 2));
+  EXPECT_TRUE(HB.happensBefore(1, 0, 0, JoinPos));
+  EXPECT_TRUE(HB.happensBefore(1, 3, 0, JoinPos + 2));
   // ... but not before it.
-  EXPECT_FALSE(G.happensBefore(1, 0, 0, SpawnPos));
+  EXPECT_FALSE(HB.happensBefore(1, 0, 0, SpawnPos));
   // Intra-thread order is integer comparison.
-  EXPECT_TRUE(G.happensBefore(0, 1, 0, 2));
-  EXPECT_FALSE(G.happensBefore(0, 2, 0, 2));
-  EXPECT_FALSE(G.happensBefore(0, 3, 0, 2));
+  EXPECT_TRUE(HB.happensBefore(0, 1, 0, 2));
+  EXPECT_FALSE(HB.happensBefore(0, 2, 0, 2));
+  EXPECT_FALSE(HB.happensBefore(0, 3, 0, 2));
 }
 
 TEST(SHBGraphTest, NaiveHBMatchesOptimized) {
   auto M = parseProgram(ForkJoinProgram);
   auto PTA = runOPA(*M);
   SHBGraph G = buildSHBGraph(*PTA);
+  HBIndex HB(G);
   for (unsigned T1 = 0; T1 < G.numThreads(); ++T1)
     for (unsigned T2 = 0; T2 < G.numThreads(); ++T2)
       for (uint32_t P1 = 0; P1 < G.thread(T1).NumEvents; ++P1)
         for (uint32_t P2 = 0; P2 < G.thread(T2).NumEvents; ++P2)
-          EXPECT_EQ(G.happensBefore(T1, P1, T2, P2),
-                    G.happensBeforeNaive(T1, P1, T2, P2))
+          EXPECT_EQ(HB.happensBefore(T1, P1, T2, P2),
+                    test::happensBeforeBFS(G, T1, P1, T2, P2))
               << "mismatch at (" << T1 << "," << P1 << ") vs (" << T2 << ","
               << P2 << ")";
 }
@@ -235,9 +240,9 @@ TEST(SHBGraphTest, LocksetIntersection) {
   EXPECT_TRUE(G.locksetsIntersect(L12, L12));
   EXPECT_FALSE(G.locksetsIntersect(L1, InternTable::Empty));
   // Cached and uncached agree.
-  EXPECT_EQ(G.locksetsIntersect(L1, L2), G.locksetsIntersectUncached(L1, L2));
-  EXPECT_EQ(G.locksetsIntersect(L1, L12),
-            G.locksetsIntersectUncached(L1, L12));
+  test::LocksetCache Cache(G);
+  EXPECT_EQ(Cache.intersect(L1, L2), G.locksetsIntersect(L1, L2));
+  EXPECT_EQ(Cache.intersect(L1, L12), G.locksetsIntersect(L1, L12));
 }
 
 TEST(SHBGraphTest, EventHandlersSerializedByImplicitLock) {

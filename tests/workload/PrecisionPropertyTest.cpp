@@ -8,7 +8,8 @@
 //
 // Parameterized (property-style) sweeps over generated workloads that pin
 // the paper's cross-analysis claims:
-//   1. the three detector optimizations never change the racy locations;
+//   1. the three detector optimizations never change the racy locations
+//      (checked against the pairwise oracle with each one switched off);
 //   2. OPA's race report is a subset of the context-insensitive one
 //      (0-ctx only adds false positives on these workloads);
 //   3. intended races are always found;
@@ -16,8 +17,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RaceOracle.h"
+
 #include "o2/O2.h"
 #include "o2/OSA/EscapeAnalysis.h"
+#include "o2/SHB/HBIndex.h"
 #include "o2/Workload/Generator.h"
 
 #include <gtest/gtest.h>
@@ -48,16 +52,17 @@ WorkloadProfile smallProfile(uint64_t Seed) {
 
 class PrecisionProperty : public ::testing::TestWithParam<uint64_t> {};
 
-std::set<uint64_t> raceLocs(const RaceReport &R) {
+std::set<uint64_t> raceLocs(const std::vector<Race> &Races) {
   std::set<uint64_t> Locs;
-  for (const Race &Rc : R.races())
+  for (const Race &Rc : Races)
     Locs.insert(Rc.Loc.key());
   return Locs;
 }
 
-std::set<std::pair<unsigned, unsigned>> racePairs(const RaceReport &R) {
+std::set<std::pair<unsigned, unsigned>>
+racePairs(const std::vector<Race> &Races) {
   std::set<std::pair<unsigned, unsigned>> Pairs;
-  for (const Race &Rc : R.races())
+  for (const Race &Rc : Races)
     Pairs.insert({Rc.A->getId(), Rc.B->getId()});
   return Pairs;
 }
@@ -68,39 +73,36 @@ TEST_P(PrecisionProperty, OptimizationsPreserveRacyLocations) {
   O2Config Optimized;
   O2Analysis A = analyzeModule(*M, Optimized);
 
-  O2Config Naive;
-  Naive.Detector.Engine = RaceEngineKind::Serial;
-  Naive.Detector.HB = RaceHBKind::Naive;
-  Naive.Detector.CacheLocksetChecks = false;
-  Naive.Detector.LockRegionMerging = false;
-  O2Analysis B = analyzeModule(*M, Naive);
+  test::RaceOracleResult B = test::runRaceOracle(
+      *A.PTA, A.SHB, test::RaceOracleOptions::strawMan());
 
-  EXPECT_EQ(raceLocs(A.Races), raceLocs(B.Races));
-  EXPECT_LE(A.Races.numRaces(), B.Races.numRaces());
+  EXPECT_EQ(raceLocs(A.Races.races()), raceLocs(B.Races));
+  EXPECT_LE(A.Races.numRaces(), B.numRaces());
   // Optimized races are a subset of naive races (pairwise).
   auto NaivePairs = racePairs(B.Races);
-  for (const auto &P : racePairs(A.Races))
+  for (const auto &P : racePairs(A.Races.races()))
     EXPECT_TRUE(NaivePairs.count(P));
 }
 
 TEST_P(PrecisionProperty, EachOptimizationAloneIsSound) {
   auto M = generateWorkload(smallProfile(GetParam()));
-  O2Config Base;
-  Base.Detector.Engine = RaceEngineKind::Serial;
-  Base.Detector.HB = RaceHBKind::Naive;
-  Base.Detector.CacheLocksetChecks = false;
-  Base.Detector.LockRegionMerging = false;
-  std::set<uint64_t> Expected = raceLocs(analyzeModule(*M, Base).Races);
+  PTAOptions Opts;
+  Opts.Kind = ContextKind::Origin;
+  auto PTA = runPointerAnalysis(*M, Opts);
+  SHBGraph SHB = buildSHBGraph(*PTA);
+  test::RaceOracleOptions Base = test::RaceOracleOptions::strawMan();
+  std::set<uint64_t> Expected =
+      raceLocs(test::runRaceOracle(*PTA, SHB, Base).Races);
 
   for (unsigned Opt = 0; Opt < 3; ++Opt) {
-    O2Config C = Base;
+    test::RaceOracleOptions C = Base;
     if (Opt == 0)
-      C.Detector.HB = RaceHBKind::Memo;
+      C.IndexHB = true;
     if (Opt == 1)
-      C.Detector.CacheLocksetChecks = true;
+      C.CacheLocksetChecks = true;
     if (Opt == 2)
-      C.Detector.LockRegionMerging = true;
-    EXPECT_EQ(raceLocs(analyzeModule(*M, C).Races), Expected)
+      C.LockRegionMerging = true;
+    EXPECT_EQ(raceLocs(test::runRaceOracle(*PTA, SHB, C).Races), Expected)
         << "optimization " << Opt;
   }
 }
@@ -115,8 +117,8 @@ TEST_P(PrecisionProperty, OriginRacesSubsetOfInsensitiveRaces) {
   Insensitive.PTA.Kind = ContextKind::Insensitive;
   O2Analysis B = analyzeModule(*M, Insensitive);
 
-  auto CoarsePairs = racePairs(B.Races);
-  for (const auto &P : racePairs(A.Races))
+  auto CoarsePairs = racePairs(B.Races.races());
+  for (const auto &P : racePairs(A.Races.races()))
     EXPECT_TRUE(CoarsePairs.count(P))
         << "race missed by 0-ctx: stmts " << P.first << "," << P.second;
   EXPECT_LE(A.Races.numRaces(), B.Races.numRaces());
@@ -163,13 +165,14 @@ TEST_P(PrecisionProperty, KCFAPrecisionGradation) {
 }
 
 TEST_P(PrecisionProperty, HBImplementationsAgree) {
-  // The memoized integer-ID happens-before and the naive per-event BFS
-  // must agree on every sampled query over a generated workload.
+  // The precomputed HBIndex and the naive per-event BFS must agree on
+  // every sampled query over a generated workload.
   auto M = generateWorkload(smallProfile(GetParam()));
   PTAOptions Opts;
   Opts.Kind = ContextKind::Origin;
   auto PTA = runPointerAnalysis(*M, Opts);
   SHBGraph G = buildSHBGraph(*PTA);
+  HBIndex Index(G);
   uint64_t Rng = GetParam() * 0x9e3779b97f4a7c15ULL + 1;
   auto Next = [&Rng] {
     Rng ^= Rng << 13;
@@ -184,8 +187,8 @@ TEST_P(PrecisionProperty, HBImplementationsAgree) {
     uint32_t N2 = std::max(G.thread(T2).NumEvents, 1u);
     uint32_t P1 = static_cast<uint32_t>(Next() % N1);
     uint32_t P2 = static_cast<uint32_t>(Next() % N2);
-    ASSERT_EQ(G.happensBefore(T1, P1, T2, P2),
-              G.happensBeforeNaive(T1, P1, T2, P2))
+    ASSERT_EQ(Index.happensBefore(T1, P1, T2, P2),
+              test::happensBeforeBFS(G, T1, P1, T2, P2))
         << "(" << T1 << "," << P1 << ") vs (" << T2 << "," << P2 << ")";
   }
 }
