@@ -24,6 +24,7 @@
 #include "o2/PTA/PointerAnalysis.h"
 #include "o2/Support/BitVector.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -34,13 +35,18 @@ struct LocAccessSets {
   BitVector ReadOrigins;
   BitVector WriteOrigins;
 
-  /// Origin-shared: ≥2 accessing origins, ≥1 writer.
+  /// Origin-shared: ≥2 accessing origins, ≥1 writer. Counts the union
+  /// word by word, without materializing it.
   bool isShared() const {
     if (WriteOrigins.none())
       return false;
-    BitVector All = ReadOrigins;
-    All.unionWith(WriteOrigins);
-    return All.count() >= 2;
+    unsigned NumBits = std::max(ReadOrigins.size(), WriteOrigins.size());
+    unsigned NumOrigins = 0;
+    for (unsigned I = 0; I * BitVector::WordBits < NumBits && NumOrigins < 2;
+         ++I)
+      NumOrigins += static_cast<unsigned>(
+          __builtin_popcountll(ReadOrigins.word(I) | WriteOrigins.word(I)));
+    return NumOrigins >= 2;
   }
 };
 

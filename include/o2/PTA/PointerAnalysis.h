@@ -28,9 +28,9 @@
 
 #include "o2/IR/Module.h"
 #include "o2/PTA/OriginSpec.h"
-#include "o2/Support/BitVector.h"
 #include "o2/Support/CancellationToken.h"
 #include "o2/Support/InternTable.h"
+#include "o2/Support/SparseBitVector.h"
 #include "o2/Support/Statistic.h"
 
 #include <memory>
@@ -124,15 +124,15 @@ public:
   const Module &module() const { return *M; }
   const PTAOptions &options() const { return Opts; }
 
-  /// Points-to set of ⟨V, C⟩ as a bitset of object IDs; null if the
+  /// Points-to set of ⟨V, C⟩ as a set of object IDs; null if the
   /// variable instance was never reached.
-  const BitVector *pts(const Variable *V, Ctx C) const;
+  const SparseBitVector *pts(const Variable *V, Ctx C) const;
 
   /// Points-to set of a global; null if never reached.
-  const BitVector *ptsGlobal(const Global *G) const;
+  const SparseBitVector *ptsGlobal(const Global *G) const;
 
   /// Points-to set of an object field (or array element); null if empty.
-  const BitVector *ptsField(unsigned Obj, FieldKey FK) const;
+  const SparseBitVector *ptsField(unsigned Obj, FieldKey FK) const;
 
   const std::vector<ObjInfo> &objects() const { return Objects; }
   const ObjInfo &object(unsigned Id) const { return Objects[Id]; }
@@ -223,7 +223,7 @@ private:
   std::unordered_map<uint64_t, unsigned> VarNodes;  ///< varId<<32|ctx
   std::vector<int> GlobalNodes;                     ///< globalId -> node/-1
   std::unordered_map<uint64_t, unsigned> FieldNodes; ///< obj<<32|fieldKey
-  std::vector<BitVector> NodePts;
+  std::vector<SparseBitVector> NodePts;
   StatisticRegistry Stats;
   bool HitBudget = false;
   bool Cancelled = false;

@@ -8,7 +8,9 @@
 ///
 /// \file
 /// A dynamically sized dense set of bits with word-at-a-time set
-/// operations, used for points-to sets and reachability masks.
+/// operations, used for small-ID masks: origin and thread sets, shared
+/// statement flags and the escaped-object mask. Points-to sets, whose IDs
+/// range over every object of a module, use SparseBitVector instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,13 +90,8 @@ public:
       W = 0;
   }
 
-  /// this |= RHS. Returns true if any bit changed.
-  bool unionWith(const BitVector &RHS) { return unionWithChanged(RHS); }
-
-  /// this |= RHS, word-at-a-time; returns true if any bit was newly added.
-  /// The name documents call sites that rely on the bulk word-level path
-  /// (bulk points-to propagation) rather than per-bit set() loops.
-  bool unionWithChanged(const BitVector &RHS) {
+  /// this |= RHS, word-at-a-time. Returns true if any bit changed.
+  bool unionWith(const BitVector &RHS) {
     ensureSize(RHS.NumBits);
     bool Changed = false;
     for (size_t I = 0, E = RHS.Words.size(); I != E; ++I) {
@@ -105,62 +102,10 @@ public:
     return Changed;
   }
 
-  /// this |= RHS; the bits newly added here (RHS & ~old(this)) are also
-  /// OR'd into \p NewBits. Returns true if any bit was added. Safe when
-  /// &RHS == this (a self-union adds nothing); \p NewBits must be a
-  /// distinct vector.
-  bool unionWithDiff(const BitVector &RHS, BitVector &NewBits) {
-    ensureSize(RHS.NumBits);
-    NewBits.ensureSize(RHS.NumBits);
-    bool Changed = false;
-    for (size_t I = 0, E = RHS.Words.size(); I != E; ++I) {
-      Word Added = RHS.Words[I] & ~Words[I];
-      if (!Added)
-        continue;
-      Words[I] |= Added;
-      NewBits.Words[I] |= Added;
-      Changed = true;
-    }
-    return Changed;
-  }
-
-  /// Returns this & ~RHS (the bits only this vector has).
-  BitVector diff(const BitVector &RHS) const {
-    BitVector Out;
-    Out.NumBits = NumBits;
-    Out.Words.resize(Words.size());
-    for (size_t I = 0, E = Words.size(); I != E; ++I)
-      Out.Words[I] = Words[I] & ~(I < RHS.Words.size() ? RHS.Words[I] : 0);
-    return Out;
-  }
-
-  /// Calls \p Callback(WordIndex, WordValue) for every nonzero word.
-  template <typename CallbackT> void forEachSetWord(CallbackT Callback) const {
-    for (size_t I = 0, E = Words.size(); I != E; ++I)
-      if (Words[I])
-        Callback(I, Words[I]);
-  }
-
-  /// Number of nonzero words (the unit bulk-propagation statistics count).
-  unsigned numSetWords() const {
-    unsigned N = 0;
-    for (Word W : Words)
-      N += W != 0;
-    return N;
-  }
-
-  /// this &= RHS.
-  void intersectWith(const BitVector &RHS) {
-    for (size_t I = 0, E = Words.size(); I != E; ++I)
-      Words[I] &= I < RHS.Words.size() ? RHS.Words[I] : 0;
-  }
-
-  bool intersects(const BitVector &RHS) const {
-    size_t E = std::min(Words.size(), RHS.Words.size());
-    for (size_t I = 0; I != E; ++I)
-      if (Words[I] & RHS.Words[I])
-        return true;
-    return false;
+  /// Word \p WordIdx of the mask (bits [64*WordIdx, 64*WordIdx+64)); zero
+  /// beyond the end.
+  Word word(unsigned WordIdx) const {
+    return WordIdx < Words.size() ? Words[WordIdx] : 0;
   }
 
   /// Number of set bits.

@@ -32,7 +32,7 @@ public:
   }
 
 private:
-  void markEscaped(const BitVector *Pts) {
+  void markEscaped(const SparseBitVector *Pts) {
     if (!Pts)
       return;
     for (unsigned Obj : *Pts)
@@ -80,10 +80,11 @@ private:
     // Anything reachable through a field of an escaped object escapes.
     // Iterate to a fixpoint: the field points-to relation is fixed, so one
     // worklist pass over (escaped object -> field pts) suffices.
-    std::vector<std::pair<unsigned, const BitVector *>> FieldPtsByObj;
-    PTA.forEachFieldPts([&](unsigned Obj, FieldKey, const BitVector &Pts) {
-      FieldPtsByObj.emplace_back(Obj, &Pts);
-    });
+    std::vector<std::pair<unsigned, const SparseBitVector *>> FieldPtsByObj;
+    PTA.forEachFieldPts(
+        [&](unsigned Obj, FieldKey, const SparseBitVector &Pts) {
+          FieldPtsByObj.emplace_back(Obj, &Pts);
+        });
     // Index: object -> its field points-to sets.
     std::sort(FieldPtsByObj.begin(), FieldPtsByObj.end());
     while (!Worklist.empty()) {
@@ -103,7 +104,7 @@ private:
 
   /// Base objects of an access statement under one context.
   void countAccess(const Variable *Base, Ctx C, bool &Shared) {
-    const BitVector *Pts = PTA.pts(Base, C);
+    const SparseBitVector *Pts = PTA.pts(Base, C);
     if (Pts && Pts->intersects(R.Escaped))
       Shared = true;
   }

@@ -10,8 +10,9 @@
 
 #include "o2/Support/Casting.h"
 
-#include <map>
+#include <algorithm>
 #include <set>
+#include <vector>
 
 using namespace o2;
 
@@ -70,14 +71,14 @@ private:
       Sets.WriteOrigins.set(Origin);
     else
       Sets.ReadOrigins.set(Origin);
-    StmtLocs[S.getId()].insert(Loc);
+    StmtLocs.emplace_back(S.getId(), Loc);
   }
 
   /// Records one base-pointer access: the location per pointed-to object.
   void recordFieldAccess(const Stmt &S, const Variable *Base, FieldKey FK,
                          unsigned Origin, bool IsWrite, Ctx C) {
     AccessStmts.insert(S.getId());
-    const BitVector *Pts = PTA.pts(Base, C);
+    const SparseBitVector *Pts = PTA.pts(Base, C);
     if (!Pts)
       return;
     for (unsigned Obj : *Pts)
@@ -133,19 +134,27 @@ private:
     std::sort(R.Shared.begin(), R.Shared.end());
     R.NumSharedObjects = static_cast<unsigned>(SharedObjs.size());
     R.NumAccessStmts = static_cast<unsigned>(AccessStmts.size());
-    for (const auto &[StmtId, Locs] : StmtLocs)
-      for (const MemLoc &Loc : Locs)
-        if (R.isShared(Loc)) {
-          R.SharedStmts.set(StmtId);
-          ++R.NumSharedAccessStmts;
-          break;
-        }
+    std::sort(StmtLocs.begin(), StmtLocs.end());
+    StmtLocs.erase(std::unique(StmtLocs.begin(), StmtLocs.end()),
+                   StmtLocs.end());
+    for (size_t I = 0, E = StmtLocs.size(); I != E;) {
+      unsigned StmtId = StmtLocs[I].first;
+      bool Shared = false;
+      for (; I != E && StmtLocs[I].first == StmtId; ++I)
+        Shared = Shared || R.isShared(StmtLocs[I].second);
+      if (Shared) {
+        R.SharedStmts.set(StmtId);
+        ++R.NumSharedAccessStmts;
+      }
+    }
   }
 
   const PTAResult &PTA;
   const CancellationToken *Cancel;
   SharingResult R;
-  std::map<unsigned, std::set<MemLoc>> StmtLocs;
+  /// (statement ID, location) per recorded access; sorted and
+  /// deduplicated once in finalize.
+  std::vector<std::pair<unsigned, MemLoc>> StmtLocs;
   std::set<unsigned> AccessStmts;
 };
 

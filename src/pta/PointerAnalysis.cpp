@@ -19,7 +19,7 @@
 //                  Worklist: FIFO worklist, object-at-a-time (baseline);
 //                  Wave: collapse copy-edge SCCs via union-find, then push
 //                  each node's delta once in topological order with
-//                  word-level BitVector unions.
+//                  word-level merges of sparse points-to sets.
 //   applyRound — against the closed (schedule-independent) state, freeze
 //                every use node's outstanding ⟨objects × loads/stores/
 //                calls⟩ work, then apply it in node order, deriving new
@@ -132,12 +132,12 @@ private:
     /// Full points-to set. Under the wave engine only the SCC
     /// representative's set is authoritative; collapsed members are
     /// rebuilt from their representative at finalization.
-    BitVector Pts;
+    SparseBitVector Pts;
     /// Bits not yet pushed along outgoing copy edges (rep-owned).
-    BitVector PropDelta;
+    SparseBitVector PropDelta;
     /// Bits already handed to this node's Loads/Stores/Calls by earlier
     /// discovery rounds. Maintained per original node, never merged.
-    BitVector Applied;
+    SparseBitVector Applied;
     std::vector<unsigned> Succs;
     /// Field loads/stores waiting on base objects: (field key, other node).
     std::vector<std::pair<FieldKey, unsigned>> Loads;
@@ -403,17 +403,25 @@ private:
     }
   }
 
-  void addPtsSet(unsigned N, const BitVector &Objs) {
+  void addPtsSet(unsigned N, const SparseBitVector &Objs) {
     unsigned Rep = find(N);
+    if (unionIntoPts(Rep, Objs))
+      schedule(Rep);
+  }
+
+  /// Pts(Rep) |= Objs; the newly added bits join Rep's pending delta and
+  /// are counted as propagated words. Returns true if any bit was added.
+  bool unionIntoPts(unsigned Rep, const SparseBitVector &Objs) {
     Node &Nd = Nodes[Rep];
-    if (&Nd.Pts == &Objs)
-      return; // self-union (edge inside a collapsed SCC)
-    BitVector New;
+    SparseBitVector New;
     if (!Nd.Pts.unionWithDiff(Objs, New))
-      return;
+      return false; // includes the self-union inside a collapsed SCC
     NumPropWords += New.numSetWords();
-    Nd.PropDelta.unionWithChanged(New);
-    schedule(Rep);
+    if (Nd.PropDelta.none())
+      Nd.PropDelta = std::move(New);
+    else
+      Nd.PropDelta.unionWith(New);
+    return true;
   }
 
   void addCopyEdge(unsigned Src, unsigned Dst) {
@@ -485,8 +493,8 @@ private:
       bool NewUses = Nd.Loads.size() > Nd.OldLoads ||
                      Nd.Stores.size() > Nd.OldStores ||
                      Nd.Calls.size() > Nd.OldCalls;
-      const BitVector &Closure = Nodes[find(N)].Pts;
-      BitVector DeltaBits = Closure.diff(Nd.Applied);
+      const SparseBitVector &Closure = Nodes[find(N)].Pts;
+      SparseBitVector DeltaBits = Closure.diff(Nd.Applied);
       if (DeltaBits.none() && !NewUses)
         continue;
       WorkItem W;
@@ -499,7 +507,7 @@ private:
       W.LoadsEnd = static_cast<unsigned>(Nd.Loads.size());
       W.StoresEnd = static_cast<unsigned>(Nd.Stores.size());
       W.CallsEnd = static_cast<unsigned>(Nd.Calls.size());
-      Nd.Applied.unionWithChanged(Closure);
+      Nd.Applied.unionWith(Closure);
       Work.push_back(std::move(W));
     }
     if (Work.empty())
@@ -610,19 +618,14 @@ private:
       for (unsigned Rep : TopoOrder) {
         if (checkCancelled())
           return;
-        BitVector Delta = std::move(Nodes[Rep].PropDelta);
-        Nodes[Rep].PropDelta = BitVector();
+        SparseBitVector Delta = std::move(Nodes[Rep].PropDelta);
+        Nodes[Rep].PropDelta = SparseBitVector();
         if (Delta.none())
           continue;
         for (size_t I = 0, E = Nodes[Rep].Succs.size(); I != E; ++I) {
           unsigned S = find(Nodes[Rep].Succs[I]);
-          if (S == Rep)
-            continue;
-          BitVector New;
-          if (Nodes[S].Pts.unionWithDiff(Delta, New)) {
-            NumPropWords += New.numSetWords();
-            Nodes[S].PropDelta.unionWithChanged(New);
-          }
+          if (S != Rep)
+            unionIntoPts(S, Delta);
         }
       }
       // One topological pass consumes every delta of a DAG, so the next
@@ -707,17 +710,14 @@ private:
       Node &RepNode = Nodes[Rep];
       // Bits one side lacks must (re)flow to the merged successor list:
       // the other side's former successors never saw them.
-      BitVector RepOnly = RepNode.Pts.diff(Mem.Pts);
-      BitVector New;
-      RepNode.Pts.unionWithDiff(Mem.Pts, New);
-      NumPropWords += New.numSetWords();
-      RepNode.PropDelta.unionWithChanged(New);
-      RepNode.PropDelta.unionWithChanged(RepOnly);
-      RepNode.PropDelta.unionWithChanged(Mem.PropDelta);
+      SparseBitVector RepOnly = RepNode.Pts.diff(Mem.Pts);
+      unionIntoPts(Rep, Mem.Pts);
+      RepNode.PropDelta.unionWith(RepOnly);
+      RepNode.PropDelta.unionWith(Mem.PropDelta);
       RepNode.Succs.insert(RepNode.Succs.end(), Mem.Succs.begin(),
                            Mem.Succs.end());
-      Mem.Pts = BitVector();
-      Mem.PropDelta = BitVector();
+      Mem.Pts = SparseBitVector();
+      Mem.PropDelta = SparseBitVector();
       Mem.Succs.clear();
       Mem.Succs.shrink_to_fit();
       UnionFind[M] = Rep;
@@ -1072,19 +1072,19 @@ private:
 // PTAResult queries
 //===----------------------------------------------------------------------===//
 
-const BitVector *PTAResult::pts(const Variable *V, Ctx C) const {
+const SparseBitVector *PTAResult::pts(const Variable *V, Ctx C) const {
   auto It = VarNodes.find((uint64_t(V->getId()) << 32) | C);
   if (It == VarNodes.end())
     return nullptr;
   return &NodePts[It->second];
 }
 
-const BitVector *PTAResult::ptsGlobal(const Global *G) const {
+const SparseBitVector *PTAResult::ptsGlobal(const Global *G) const {
   int Slot = GlobalNodes[G->getId()];
   return Slot < 0 ? nullptr : &NodePts[static_cast<unsigned>(Slot)];
 }
 
-const BitVector *PTAResult::ptsField(unsigned Obj, FieldKey FK) const {
+const SparseBitVector *PTAResult::ptsField(unsigned Obj, FieldKey FK) const {
   auto It = FieldNodes.find((uint64_t(Obj) << 32) | FK);
   return It == FieldNodes.end() ? nullptr : &NodePts[It->second];
 }
@@ -1112,7 +1112,7 @@ std::vector<unsigned> PTAResult::originAttributes(unsigned OriginId) const {
   for (const Variable *Arg : Alloc->getArgs()) {
     if (!Arg->getType()->isReference())
       continue;
-    if (const BitVector *P = pts(Arg, Info.ParentCtx))
+    if (const SparseBitVector *P = pts(Arg, Info.ParentCtx))
       for (unsigned Obj : *P)
         Attrs.push_back(Obj);
   }

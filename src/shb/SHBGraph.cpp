@@ -100,7 +100,7 @@ private:
   struct JoinRecord {
     unsigned Thread;
     uint32_t Pos;
-    BitVector RecvObjs;
+    SparseBitVector RecvObjs;
   };
 
   void traceThread(unsigned T) {
@@ -137,7 +137,7 @@ private:
 
   void recordAccess(WalkState &S, const Stmt &Stm, const Variable *Base,
                     FieldKey FK, Ctx C, bool IsWrite) {
-    const BitVector *Pts = PTA.pts(Base, C);
+    const SparseBitVector *Pts = PTA.pts(Base, C);
     if (!Pts || Pts->none())
       return;
     AccessEvent E;
@@ -216,7 +216,7 @@ private:
       case Stmt::SK_Acquire: {
         const auto &A = cast<AcquireStmt>(Stm);
         SmallVector<uint32_t, 2> Elems;
-        if (const BitVector *Pts = PTA.pts(A.getLock(), C))
+        if (const SparseBitVector *Pts = PTA.pts(A.getLock(), C))
           for (unsigned Obj : *Pts)
             Elems.push_back(Obj);
         AcquireEvent AE;
@@ -273,7 +273,7 @@ private:
       case Stmt::SK_Join: {
         markOpenRegionsSynced(S);
         const auto &J = cast<JoinStmt>(Stm);
-        if (const BitVector *Pts = PTA.pts(J.getReceiver(), C)) {
+        if (const SparseBitVector *Pts = PTA.pts(J.getReceiver(), C)) {
           JoinRecord Rec;
           Rec.Thread = S.Thread;
           Rec.Pos = S.Pos;

@@ -167,13 +167,13 @@ TEST(OriginPolicyTest, Figure2SharedAttributeStaysShared) {
   // Both origins see the same ⟨sh⟩ object through this.s.
   const Function *Run = M->findClass("T")->findMethod("run");
   const Variable *S = Run->findVariable("s");
-  BitVector Union;
+  SparseBitVector Union;
   unsigned NumInstances = 0;
   for (const auto &[F, C] : R->instances()) {
     if (F != Run)
       continue;
     ++NumInstances;
-    const BitVector *P = R->pts(S, C);
+    const SparseBitVector *P = R->pts(S, C);
     ASSERT_TRUE(P);
     EXPECT_EQ(P->count(), 1u);
     Union.unionWith(*P);
@@ -234,13 +234,13 @@ TEST(OriginPolicyTest, WrapperFunctionsGetOneCallSite) {
   // Each origin's run() sees exactly its own Data attribute.
   const Function *Run = M->findClass("W")->findMethod("run");
   const Variable *X = Run->findVariable("x");
-  BitVector Union;
+  SparseBitVector Union;
   unsigned NumInstances = 0;
   for (const auto &[F, C] : R->instances()) {
     if (F != Run)
       continue;
     ++NumInstances;
-    const BitVector *P = R->pts(X, C);
+    const SparseBitVector *P = R->pts(X, C);
     ASSERT_TRUE(P);
     EXPECT_EQ(P->count(), 1u);
     Union.unionWith(*P);

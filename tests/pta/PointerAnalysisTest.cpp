@@ -23,11 +23,11 @@ unsigned ptsSizeAnyCtx(const PTAResult &R, const Function *Fn,
                        const std::string &Name) {
   const Variable *V = Fn->findVariable(Name);
   EXPECT_NE(V, nullptr);
-  BitVector Union;
+  SparseBitVector Union;
   for (const auto &[F, C] : R.instances()) {
     if (F != Fn)
       continue;
-    if (const BitVector *P = R.pts(V, C))
+    if (const SparseBitVector *P = R.pts(V, C))
       Union.unionWith(*P);
   }
   return Union.count();
@@ -47,8 +47,8 @@ TEST(PointerAnalysisTest, AllocAndAssignFlow) {
   const Function *Main = M->getMain();
   EXPECT_EQ(ptsSizeAnyCtx(*R, Main, "x"), 1u);
   EXPECT_EQ(ptsSizeAnyCtx(*R, Main, "y"), 1u);
-  const BitVector *PX = R->pts(Main->findVariable("x"), 0);
-  const BitVector *PY = R->pts(Main->findVariable("y"), 0);
+  const SparseBitVector *PX = R->pts(Main->findVariable("x"), 0);
+  const SparseBitVector *PY = R->pts(Main->findVariable("y"), 0);
   ASSERT_TRUE(PX && PY);
   EXPECT_TRUE(*PX == *PY);
 }
@@ -68,8 +68,8 @@ TEST(PointerAnalysisTest, FieldFlow) {
   )");
   auto R = runPointerAnalysis(*M, optsFor(ContextKind::Insensitive));
   const Function *Main = M->getMain();
-  const BitVector *PB = R->pts(Main->findVariable("b"), 0);
-  const BitVector *PGot = R->pts(Main->findVariable("got"), 0);
+  const SparseBitVector *PB = R->pts(Main->findVariable("b"), 0);
+  const SparseBitVector *PGot = R->pts(Main->findVariable("got"), 0);
   ASSERT_TRUE(PB && PGot);
   EXPECT_TRUE(*PB == *PGot);
   EXPECT_EQ(PGot->count(), 1u);
@@ -109,7 +109,7 @@ TEST(PointerAnalysisTest, GlobalFlow) {
   )");
   auto R = runPointerAnalysis(*M, optsFor(ContextKind::Insensitive));
   EXPECT_EQ(ptsSizeAnyCtx(*R, M->getMain(), "y"), 1u);
-  const BitVector *PG = R->ptsGlobal(M->findGlobal("g"));
+  const SparseBitVector *PG = R->ptsGlobal(M->findGlobal("g"));
   ASSERT_TRUE(PG);
   EXPECT_EQ(PG->count(), 1u);
 }

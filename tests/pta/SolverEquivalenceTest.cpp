@@ -39,7 +39,7 @@ std::unique_ptr<Module> loadOIR(const std::string &FileName) {
   return o2test::parseProgram(Buf.str());
 }
 
-void expectSamePts(const BitVector *A, const BitVector *B,
+void expectSamePts(const SparseBitVector *A, const SparseBitVector *B,
                    const std::string &Tag) {
   ASSERT_EQ(A != nullptr, B != nullptr) << Tag;
   if (A) {
@@ -97,13 +97,15 @@ void expectIdenticalResults(const Module &M, const PTAResult &A,
     expectSamePts(A.ptsGlobal(G.get()), B.ptsGlobal(G.get()),
                   Tag + " global " + G->getName());
 
-  std::map<std::pair<unsigned, FieldKey>, BitVector> FieldsA, FieldsB;
-  A.forEachFieldPts([&](unsigned Obj, FieldKey FK, const BitVector &Pts) {
-    FieldsA[{Obj, FK}] = Pts;
-  });
-  B.forEachFieldPts([&](unsigned Obj, FieldKey FK, const BitVector &Pts) {
-    FieldsB[{Obj, FK}] = Pts;
-  });
+  std::map<std::pair<unsigned, FieldKey>, SparseBitVector> FieldsA, FieldsB;
+  A.forEachFieldPts(
+      [&](unsigned Obj, FieldKey FK, const SparseBitVector &Pts) {
+        FieldsA[{Obj, FK}] = Pts;
+      });
+  B.forEachFieldPts(
+      [&](unsigned Obj, FieldKey FK, const SparseBitVector &Pts) {
+        FieldsB[{Obj, FK}] = Pts;
+      });
   ASSERT_EQ(FieldsA.size(), FieldsB.size()) << Tag;
   for (const auto &[Key, Pts] : FieldsA) {
     auto It = FieldsB.find(Key);

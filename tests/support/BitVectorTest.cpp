@@ -74,21 +74,16 @@ TEST(BitVectorTest, UnionGrows) {
   EXPECT_TRUE(A.test(200));
 }
 
-TEST(BitVectorTest, IntersectWithAndIntersects) {
-  BitVector A, B;
-  A.set(5);
-  A.set(70);
-  B.set(70);
-  B.set(90);
-  EXPECT_TRUE(A.intersects(B));
-  A.intersectWith(B);
-  EXPECT_FALSE(A.test(5));
-  EXPECT_TRUE(A.test(70));
-  EXPECT_EQ(A.count(), 1u);
-
-  BitVector C;
-  C.set(4);
-  EXPECT_FALSE(A.intersects(C));
+TEST(BitVectorTest, WordReadsZeroPastEnd) {
+  BitVector BV;
+  BV.set(0);
+  BV.set(63);
+  BV.set(130);
+  EXPECT_EQ(BV.word(0), (BitVector::Word(1) | (BitVector::Word(1) << 63)));
+  EXPECT_EQ(BV.word(1), 0u);
+  EXPECT_EQ(BV.word(2), BitVector::Word(1) << 2);
+  EXPECT_EQ(BV.word(3), 0u);
+  EXPECT_EQ(BV.word(1000), 0u);
 }
 
 TEST(BitVectorTest, FindFirstAndNext) {
@@ -112,96 +107,6 @@ TEST(BitVectorTest, SetBitIteration) {
   for (unsigned I : BV)
     Got.insert(I);
   EXPECT_EQ(Got, Expected);
-}
-
-TEST(BitVectorTest, UnionWithChangedMatchesUnionWith) {
-  BitVector A, B;
-  A.set(0);
-  A.set(63);
-  B.set(64);
-  B.set(130);
-  EXPECT_TRUE(A.unionWithChanged(B));
-  EXPECT_EQ(A.count(), 4u);
-  EXPECT_FALSE(A.unionWithChanged(B));
-  // Self-union is a no-op.
-  EXPECT_FALSE(A.unionWithChanged(A));
-  EXPECT_EQ(A.count(), 4u);
-}
-
-TEST(BitVectorTest, UnionWithDiffExtractsNewBits) {
-  BitVector A, B, New;
-  A.set(1);
-  A.set(70);
-  B.set(1); // already present: must not appear in New
-  B.set(2);
-  B.set(200);
-  EXPECT_TRUE(A.unionWithDiff(B, New));
-  EXPECT_TRUE(A.test(2));
-  EXPECT_TRUE(A.test(200));
-  std::set<unsigned> Got;
-  for (unsigned I : New)
-    Got.insert(I);
-  EXPECT_EQ(Got, (std::set<unsigned>{2, 200}));
-  // Re-union adds nothing and leaves New untouched.
-  BitVector New2;
-  EXPECT_FALSE(A.unionWithDiff(B, New2));
-  EXPECT_TRUE(New2.none());
-}
-
-TEST(BitVectorTest, UnionWithDiffAccumulates) {
-  BitVector A, B, C, New;
-  B.set(3);
-  C.set(90);
-  EXPECT_TRUE(A.unionWithDiff(B, New));
-  EXPECT_TRUE(A.unionWithDiff(C, New));
-  std::set<unsigned> Got;
-  for (unsigned I : New)
-    Got.insert(I);
-  EXPECT_EQ(Got, (std::set<unsigned>{3, 90}));
-}
-
-TEST(BitVectorTest, UnionWithDiffSelfIsNoop) {
-  BitVector A, New;
-  A.set(7);
-  A.set(128);
-  EXPECT_FALSE(A.unionWithDiff(A, New));
-  EXPECT_TRUE(New.none());
-  EXPECT_EQ(A.count(), 2u);
-}
-
-TEST(BitVectorTest, Diff) {
-  BitVector A, B;
-  A.set(1);
-  A.set(64);
-  A.set(200);
-  B.set(64);
-  B.set(300);
-  BitVector D = A.diff(B);
-  std::set<unsigned> Got;
-  for (unsigned I : D)
-    Got.insert(I);
-  EXPECT_EQ(Got, (std::set<unsigned>{1, 200}));
-  // Diff against a longer vector and against an empty one.
-  EXPECT_TRUE(B.diff(B).none());
-  BitVector Empty;
-  EXPECT_TRUE(A.diff(Empty) == A);
-}
-
-TEST(BitVectorTest, ForEachSetWordAndNumSetWords) {
-  BitVector BV;
-  BV.set(0);
-  BV.set(63);
-  BV.set(130);
-  EXPECT_EQ(BV.numSetWords(), 2u);
-  std::set<unsigned> WordIdxs;
-  BitVector::Word Word0 = 0;
-  BV.forEachSetWord([&](size_t I, BitVector::Word W) {
-    WordIdxs.insert(static_cast<unsigned>(I));
-    if (I == 0)
-      Word0 = W;
-  });
-  EXPECT_EQ(WordIdxs, (std::set<unsigned>{0, 2}));
-  EXPECT_EQ(Word0, (BitVector::Word(1) | (BitVector::Word(1) << 63)));
 }
 
 TEST(BitVectorTest, EqualityIgnoresTrailingZeroWords) {
