@@ -29,8 +29,10 @@
 #include "o2/O2.h"
 #include "o2/Workload/Generator.h"
 
+#include <array>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -150,11 +152,13 @@ struct BatchOptions {
   /// fallback config fingerprint in the JSONL and is never cached.
   bool Degrade = false;
 
-  /// Worker-side progress hook: called with a stage name ("setup",
-  /// "parse", "verify", then each pass name) as the job enters it. The
-  /// process-isolation worker uses it to stream `p:<stage>` markers to
-  /// the parent so crash records can name the phase; tests may use it to
-  /// observe progress. Not part of any fingerprint.
+  /// Progress hook: called with a stage name ("setup", "parse",
+  /// "verify", then each pass name) as the job enters it. Under process
+  /// isolation "setup" (the cache lookup) is reported in the calling
+  /// process and the later stages in the worker, which streams them to
+  /// the parent as `p:<stage>` markers so crash records can name the
+  /// phase; tests may use it to observe progress. Not part of any
+  /// fingerprint.
   std::function<void(const std::string &)> StageHook;
 };
 
@@ -165,10 +169,19 @@ struct BatchOptions {
 struct RaceRecord {
   std::string Fingerprint; ///< 16 hex digits, FNV-1a.
   std::string Location;    ///< Human-readable location (obj IDs elided).
-  std::string StmtA, FuncA;
-  std::string StmtB, FuncB;
-  bool WriteA = false, WriteB = false;
+  /// The two accesses exactly as the JSONL report carries them:
+  /// `"first":{"stmt":…,"function":…,"write":…},"second":{…}`. Rendered
+  /// once per job for each distinct pair of accesses and shared by every
+  /// race of that pair (a race-dense module reports a few thousand pairs
+  /// on hundreds of thousands of races). The cache, the worker pipe and
+  /// printJSONL copy these bytes and never escape them again.
+  std::shared_ptr<const std::string> Accesses;
   std::string DiffStatus; ///< "" | "new" | "unchanged" (baseline mode).
+
+  /// The rendered accesses ("" if none were set).
+  std::string_view accesses() const {
+    return Accesses ? std::string_view(*Accesses) : std::string_view();
+  }
 };
 
 /// One potential deadlock cycle (deadlock analysis section).
@@ -214,16 +227,18 @@ struct JobResult {
   /// sections. Overlaid from the request (never cached).
   AnalysisSet Analyses;
 
-  /// Per-pass wall-clock, including the aux analyses and the shared
-  /// HBIndex build (0 for passes that did not run).
-  double PTAMs = 0, OSAMs = 0, SHBMs = 0, HBIndexMs = 0, DetectMs = 0;
-  double DeadlockMs = 0, OverSyncMs = 0, RacerDMs = 0, EscapeMs = 0;
+  /// Per-pass wall-clock in milliseconds, indexed by O2Phase, including
+  /// the aux analyses and the shared HBIndex build (0 for passes that did
+  /// not run, and always 0 at O2Phase::None).
+  std::array<double, NumO2Phases> PhaseMs{};
 
   /// Sum over every pass — aux analyses included, unlike the pre-manager
   /// driver which silently dropped everything but the four core phases.
   double totalMs() const {
-    return PTAMs + OSAMs + SHBMs + HBIndexMs + DetectMs + DeadlockMs +
-           OverSyncMs + RacerDMs + EscapeMs;
+    double Sum = 0;
+    for (double Ms : PhaseMs)
+      Sum += Ms;
+    return Sum;
   }
 
   /// Per-job counters from every ran pass (partial on timeout).
@@ -283,14 +298,16 @@ JobResult runOneJob(const JobSpec &Spec, const BatchOptions &Opts = {});
 JobResult runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
                     ThreadPool *SharedPool);
 
-/// Runs one spec in a forked sandboxed worker (fork + result pipe): the
+/// Runs one spec as runOneJob does, but analyzes it in a forked sandboxed
+/// worker (fork + result pipe). The cache is looked up first, in the
+/// calling process: a hit is returned without forking. On a miss the
 /// child applies the --mem-limit-mb address-space cap, streams stage
-/// markers, runs runOneJob, and writes the serialized result back; the
-/// parent enforces the hard-kill escalation and classifies worker death
-/// (signal -> Crashed with signal name + last stage, cap overrun -> OOM,
-/// silent exit -> Crashed). On platforms without fork this falls back to
-/// runOneJob. Used by runBatch under IsolationMode::Process; exposed for
-/// tests.
+/// markers, analyzes and stores the job, and writes the serialized result
+/// back; the parent enforces the hard-kill escalation and classifies
+/// worker death (signal -> Crashed with signal name + last stage, cap
+/// overrun -> OOM, silent exit -> Crashed). On platforms without fork
+/// this falls back to runOneJob. Used by runBatch under
+/// IsolationMode::Process; exposed for tests.
 JobResult runOneJobIsolated(const JobSpec &Spec, const BatchOptions &Opts);
 
 /// The full containment policy around one job: isolated or in-process

@@ -21,6 +21,12 @@
 /// invalidate entries; touching the module text or any result-affecting
 /// flag does.
 ///
+/// An entry is the job's result in the wire format the worker pipe also
+/// uses (JobWire.h), behind an `o2cache <version> <checksum>` header line.
+/// Races are stored as the report renders them, each distinct rendering
+/// once, so a hit is copied into the report without being rendered or
+/// escaped again.
+///
 /// Robustness contract: a corrupt, truncated, version-skewed, or
 /// checksum-mismatched entry degrades to a cache miss, never an error —
 /// the job simply runs cold and overwrites the entry. Only terminal
@@ -29,6 +35,11 @@
 /// re-run (store() enforces this, lookup() re-checks it on replay).
 /// Writes are atomic (temp file + rename), so concurrent fleets sharing
 /// one directory at worst redo work.
+///
+/// Under `--isolate=process` the batch driver calls lookup() in its own
+/// process before forking: a hit is served without a worker, and only a
+/// miss forks one, which analyzes and calls store(). lookup() therefore
+/// must never crash the caller; every failure is a miss.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,10 +63,14 @@ public:
   /// FNV-1a hash of the module text (the cache key's content half).
   static uint64_t contentHash(const std::string &ModuleText);
 
-  /// Bump when the serialized JobResult layout changes.
+  /// Bump when the serialized JobResult layout changes; an entry of any
+  /// other version is a miss.
   /// 2: shared wire format with the worker pipe — adds signal, degraded,
   ///    fallback fingerprint, and retry fields.
-  static constexpr uint32_t FormatVersion = 2;
+  /// 3: each race carries its two accesses as the report's rendered JSON
+  ///    (RaceRecord::Accesses) instead of six statement, function and
+  ///    write fields; per-pass timings are one value per O2Phase.
+  static constexpr uint32_t FormatVersion = 3;
 
   /// Loads the entry for (ContentHash, ConfigFP) into \p Out. Returns
   /// false — and leaves \p Out untouched — on absence or any form of

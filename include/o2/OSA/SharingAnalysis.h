@@ -38,15 +38,8 @@ struct LocAccessSets {
   /// Origin-shared: ≥2 accessing origins, ≥1 writer. Counts the union
   /// word by word, without materializing it.
   bool isShared() const {
-    if (WriteOrigins.none())
-      return false;
-    unsigned NumBits = std::max(ReadOrigins.size(), WriteOrigins.size());
-    unsigned NumOrigins = 0;
-    for (unsigned I = 0; I * BitVector::WordBits < NumBits && NumOrigins < 2;
-         ++I)
-      NumOrigins += static_cast<unsigned>(
-          __builtin_popcountll(ReadOrigins.word(I) | WriteOrigins.word(I)));
-    return NumOrigins >= 2;
+    return WriteOrigins.any() &&
+           BitVector::unionCount(ReadOrigins, WriteOrigins, 2) >= 2;
   }
 };
 

@@ -19,6 +19,7 @@
 
 #include "o2/Support/Compiler.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -113,6 +114,18 @@ public:
     unsigned N = 0;
     for (Word W : Words)
       N += static_cast<unsigned>(__builtin_popcountll(W));
+    return N;
+  }
+
+  /// Number of set bits in \p A | \p B, counted word by word without
+  /// materializing the union; stops early once it reaches \p Limit.
+  static unsigned unionCount(const BitVector &A, const BitVector &B,
+                             unsigned Limit) {
+    size_t NumWords = std::max(A.Words.size(), B.Words.size());
+    unsigned N = 0;
+    for (size_t I = 0; I < NumWords && N < Limit; ++I)
+      N += static_cast<unsigned>(
+          __builtin_popcountll(A.word(unsigned(I)) | B.word(unsigned(I))));
     return N;
   }
 

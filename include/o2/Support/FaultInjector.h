@@ -38,9 +38,14 @@
 ///
 /// Counters are per armed fault and advance only on scope-matching hits,
 /// so a spec is deterministic: the same corpus and flags fire the same
-/// fault at the same place every run. Under `--isolate=process` each
-/// worker inherits the armed state (and counters) at fork, which makes
-/// per-job specs deterministic regardless of worker count.
+/// fault at the same place every run. Under `--isolate=process` every
+/// point but `cache.read` fires in a worker, which inherits the armed
+/// state (and counters) at fork, which makes per-job specs deterministic
+/// regardless of worker count. The batch driver looks the cache up in its
+/// own process, before it forks, so `cache.read` counters advance there,
+/// across jobs; and since an action there must not take the driver down,
+/// `cache.read` accepts only `throw` and `oom` (both degrade the lookup
+/// to a miss).
 ///
 /// When nothing is armed a fault point is one relaxed atomic load.
 ///

@@ -8,6 +8,7 @@
 
 #include "o2/Driver/Driver.h"
 
+#include "JobSteps.h"
 #include "o2/Driver/ResultCache.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Printer.h"
@@ -125,9 +126,9 @@ static std::string stableLocation(const MemLoc &Loc, const PTAResult &PTA) {
 
 namespace {
 
-/// Renders each statement and each race location once per job: a
-/// race-dense module reports the same few statements in thousands of
-/// race pairs.
+/// Renders each statement, each race location and each pair of race
+/// accesses once per job: a race-dense module reports the same few
+/// statements in hundreds of thousands of races.
 class RecordRenderer {
 public:
   const std::string &stmt(const Stmt &S) {
@@ -144,40 +145,101 @@ public:
     return It->second;
   }
 
+  /// What every race between the same two accesses shares.
+  struct PairRecord {
+    /// The report's `"first":{…},"second":{…}` members.
+    std::shared_ptr<const std::string> Accesses;
+    /// The fingerprint's input after the location: the two access
+    /// descriptors in lexicographic order, each behind a 0x1f separator.
+    std::string FingerprintTail;
+  };
+
+  /// The shared part of the races between \p A and \p B: the only place
+  /// race accesses are rendered.
+  const PairRecord &pair(const Stmt &A, bool AIsWrite, const Stmt &B,
+                         bool BIsWrite) {
+    const Access *First = &access(A, AIsWrite);
+    const Access *Second = &access(B, BIsWrite);
+    auto [It, Inserted] = Pairs.try_emplace({First, Second});
+    if (!Inserted)
+      return It->second;
+    Scratch.clear();
+    W.beginObject();
+    for (auto [Key, Side] : {std::pair{"first", First}, {"second", Second}}) {
+      W.key(Key);
+      W.beginObject();
+      W.attribute("stmt", Side->Stmt);
+      W.attribute("function", Side->Function);
+      W.attribute("write", Side->IsWrite);
+      W.endObject();
+    }
+    W.endObject();
+    It->second.Accesses =
+        std::make_shared<const std::string>(JSONWriter::membersOf(Scratch));
+    // Ordering the descriptors makes the fingerprint invariant under
+    // which access the detector happened to list first.
+    auto [Lo, Hi] = std::minmax(First->Desc, Second->Desc);
+    It->second.FingerprintTail = "\x1f" + Lo + "\x1f" + Hi;
+    return It->second;
+  }
+
 private:
+  /// One side of a race as the report shows it. Accesses with the same
+  /// statement text, function name and kind — the same descriptor — share
+  /// one, so the races between them share one rendering.
+  struct Access {
+    std::string Stmt, Function;
+    bool IsWrite;
+    std::string Desc; ///< "<stmt>|<function>|W" (or R).
+  };
+
+  const Access &access(const Stmt &S, bool IsWrite) {
+    const Access *&A = ByStmt[IsWrite][&S];
+    if (!A) {
+      const std::string &Text = stmt(S);
+      const std::string &Function = S.getFunction()->getName();
+      std::string Desc = Text + "|" + Function + "|" + (IsWrite ? "W" : "R");
+      A = &ByDesc.try_emplace(Desc, Access{Text, Function, IsWrite, Desc})
+               .first->second;
+    }
+    return *A;
+  }
+
+  using AccessPair = std::pair<const Access *, const Access *>;
+  struct AccessPairHash {
+    size_t operator()(const AccessPair &P) const {
+      return std::hash<const void *>()(P.first) * 0x9e3779b97f4a7c15ull ^
+             std::hash<const void *>()(P.second);
+    }
+  };
+
   std::unordered_map<const Stmt *, std::string> Stmts;
   std::unordered_map<uint64_t, std::string> Locations;
+  std::unordered_map<const Stmt *, const Access *> ByStmt[2];
+  std::unordered_map<std::string, Access> ByDesc;
+  std::unordered_map<AccessPair, PairRecord, AccessPairHash> Pairs;
+  // One top-level object per rendered pair; the writer and its buffer
+  // are reused.
+  std::string Scratch;
+  StringOutputStream ScratchOS{Scratch};
+  JSONWriter W{ScratchOS};
 };
 
 } // namespace
 
 static RaceRecord makeRaceRecord(const Race &Rc, const PTAResult &PTA,
                                  RecordRenderer &Render) {
+  const RecordRenderer::PairRecord &Pair =
+      Render.pair(*Rc.A, Rc.AIsWrite, *Rc.B, Rc.BIsWrite);
   RaceRecord R;
   R.Location = Render.location(Rc.Loc, PTA);
-  R.StmtA = Render.stmt(*Rc.A);
-  R.FuncA = Rc.A->getFunction()->getName();
-  R.WriteA = Rc.AIsWrite;
-  R.StmtB = Render.stmt(*Rc.B);
-  R.FuncB = Rc.B->getFunction()->getName();
-  R.WriteB = Rc.BIsWrite;
-
+  R.Accesses = Pair.Accesses;
   // The fingerprint hashes the symbolic location plus the two access
-  // descriptors in lexicographic order, so it is invariant under the
-  // statement-ID renumbering that reordering unrelated code causes and
-  // under which access the detector happened to list first.
-  std::string DescA =
-      R.StmtA + "|" + R.FuncA + "|" + (R.WriteA ? "W" : "R");
-  std::string DescB =
-      R.StmtB + "|" + R.FuncB + "|" + (R.WriteB ? "W" : "R");
-  if (DescB < DescA)
-    std::swap(DescA, DescB);
-  uint64_t H = fnv1a(R.Location, 1469598103934665603ull);
-  H = fnv1a("\x1f", H);
-  H = fnv1a(DescA, H);
-  H = fnv1a("\x1f", H);
-  H = fnv1a(DescB, H);
-  R.Fingerprint = toHex16(H);
+  // descriptors (statement text, function, R/W), so it is invariant under
+  // the statement-ID renumbering that reordering unrelated code causes.
+  R.Fingerprint =
+      toHex16(fnv1a(Pair.FingerprintTail,
+                    fnv1a(R.Location, 1469598103934665603ull)));
   return R;
 }
 
@@ -199,70 +261,67 @@ static std::string readFileContent(const std::string &Path, bool &Ok) {
   return Content;
 }
 
-JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
-  return runOneJob(Spec, Opts, nullptr);
-}
+namespace {
 
-JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
-                        ThreadPool *SharedPool) {
-  JobResult R;
-  R.Name = Spec.Name;
-  R.Analyses = Opts.Analyses;
+/// The stage a job is in: forwarded to the progress hook as the job
+/// enters it, and kept so an error record can name it.
+struct StageTracker {
+  const BatchOptions &Opts;
+  std::string Last = "setup";
 
-  // @module-scoped fault specs count only this job's hits, which keeps
-  // injected faults deterministic at any --jobs=N.
-  FaultInjector::JobScope FaultScope(Spec.Name);
-
-  // Worker-side progress markers; also tracked locally so error records
-  // can name the stage the job was in.
-  std::string LastStage;
-  auto Stage = [&Opts, &LastStage](const char *S) {
-    LastStage = S;
+  void enter(const char *S) {
+    Last = S;
     if (Opts.StageHook)
       Opts.StageHook(S);
-  };
-  Stage("setup");
+  }
+};
 
-  ResultCache Cache(Opts.CacheDir);
-  bool HaveKey = false;
-  uint64_t ContentHash = 0, ConfigFP = 0;
+} // namespace
 
-  // Hoisted out of the try so the catch blocks can harvest partial
-  // timings and statistics (declaration order matters: AM borrows M, so
-  // AM must be destroyed first).
-  std::unique_ptr<Module> M;
-  std::unique_ptr<AnalysisManager> AM;
-  auto Harvest = [&R, &AM] {
-    if (!AM)
-      return;
-    try {
-      R.PTAMs = AM->seconds(O2Phase::PTA) * 1000.0;
-      R.OSAMs = AM->seconds(O2Phase::OSA) * 1000.0;
-      R.SHBMs = AM->seconds(O2Phase::SHB) * 1000.0;
-      R.HBIndexMs = AM->seconds(O2Phase::HBIndex) * 1000.0;
-      R.DetectMs = AM->seconds(O2Phase::Detect) * 1000.0;
-      R.DeadlockMs = AM->seconds(O2Phase::Deadlock) * 1000.0;
-      R.OverSyncMs = AM->seconds(O2Phase::OverSync) * 1000.0;
-      R.RacerDMs = AM->seconds(O2Phase::RacerD) * 1000.0;
-      R.EscapeMs = AM->seconds(O2Phase::Escape) * 1000.0;
-      R.Stats = AM->stats();
-    } catch (...) {
-      // Partial telemetry is best-effort; the status already tells the
-      // story.
-    }
-  };
-
+/// Runs \p Body, containing an exception that escapes it as an `oom` or
+/// `internal-error` status on \p R, attributed to the stage \p Stage was
+/// in. Returns false if it had to.
+template <typename BodyT>
+static bool contain(JobResult &R, const StageTracker &Stage, BodyT Body) {
   try {
-    std::string Source;
+    Body();
+    return true;
+  } catch (const std::bad_alloc &) {
+    // Allocation failure is its own status: under a --mem-limit-mb cap
+    // this *is* the OOM record, and in-process it tells the operator to
+    // re-run with --degrade or more memory rather than chase a bug.
+    R.Status = JobStatus::OOM;
+    R.Error = "out of memory";
+  } catch (const std::exception &E) {
+    R.Status = JobStatus::InternalError;
+    R.Error = E.what();
+  } catch (...) {
+    R.Status = JobStatus::InternalError;
+    R.Error = "unknown exception";
+  }
+  R.Phase = Stage.Last;
+  return false;
+}
+
+bool job::lookup(const JobSpec &Spec, const BatchOptions &Opts, Input &In,
+                 JobResult &R) {
+  R.Name = Spec.Name;
+  R.Analyses = Opts.Analyses;
+  StageTracker Stage{Opts};
+  Stage.enter("setup");
+
+  bool Done = false;
+  bool Ok = contain(R, Stage, [&] {
     if (!Spec.Profile) {
-      Source = Spec.Source;
-      if (Source.empty() && !Spec.Path.empty()) {
-        bool Ok = false;
-        Source = readFileContent(Spec.Path, Ok);
-        if (!Ok) {
+      In.Source = Spec.Source;
+      if (In.Source.empty() && !Spec.Path.empty()) {
+        bool Read = false;
+        In.Source = readFileContent(Spec.Path, Read);
+        if (!Read) {
           R.Status = JobStatus::ParseError;
           R.Error = "cannot read '" + Spec.Path + "'";
-          return R;
+          Done = true;
+          return;
         }
       }
     }
@@ -272,50 +331,78 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
     // printed module for generated workloads. The config half of the key
     // folds in the requested analyses, every result-affecting option and
     // each pass's version (see analysisSetFingerprint).
-    if (Cache.enabled()) {
-      ConfigFP = analysisSetFingerprint(Opts.Analyses, Opts.Config);
-      if (Spec.Profile) {
-        M = generateWorkload(*Spec.Profile);
-        ContentHash = ResultCache::contentHash(printModule(*M));
-      } else {
-        ContentHash = ResultCache::contentHash(Source);
-      }
-      HaveKey = true;
-      JobResult Cached;
-      if (Cache.lookup(ContentHash, ConfigFP, Cached)) {
-        Cached.Name = Spec.Name;
-        Cached.Analyses = Opts.Analyses;
-        Cached.Cache = JobResult::CacheOutcome::Hit;
-        return Cached;
-      }
-      R.Cache = JobResult::CacheOutcome::Miss;
+    ResultCache Cache(Opts.CacheDir);
+    if (!Cache.enabled())
+      return;
+    In.ConfigFP = analysisSetFingerprint(Opts.Analyses, Opts.Config);
+    if (Spec.Profile) {
+      In.M = generateWorkload(*Spec.Profile);
+      In.ContentHash = ResultCache::contentHash(printModule(*In.M));
+    } else {
+      In.ContentHash = ResultCache::contentHash(In.Source);
     }
+    In.HaveKey = true;
+    JobResult Cached;
+    if (Cache.lookup(In.ContentHash, In.ConfigFP, Cached)) {
+      Cached.Name = std::move(R.Name);
+      Cached.Analyses = Opts.Analyses;
+      Cached.Cache = JobResult::CacheOutcome::Hit;
+      R = std::move(Cached);
+      Done = true;
+      return;
+    }
+    R.Cache = JobResult::CacheOutcome::Miss;
+  });
+  return Done || !Ok;
+}
 
+void job::analyze(const JobSpec &Spec, const BatchOptions &Opts, Input &In,
+                  ThreadPool *SharedPool, JobResult &R) {
+  StageTracker Stage{Opts};
+
+  // Hoisted out of the body so a failure can still harvest partial
+  // timings and statistics (AM borrows In.M, which outlives it).
+  std::unique_ptr<AnalysisManager> AM;
+  auto Harvest = [&R, &AM] {
+    if (!AM)
+      return;
+    try {
+      for (unsigned P = 1; P < NumO2Phases; ++P)
+        R.PhaseMs[P] = AM->seconds(O2Phase(P)) * 1000.0;
+      R.Stats = AM->stats();
+    } catch (...) {
+      // Partial telemetry is best-effort; the status already tells the
+      // story.
+    }
+  };
+
+  bool Ok = contain(R, Stage, [&] {
+    std::unique_ptr<Module> &M = In.M;
     if (!M) {
-      Stage("parse");
+      Stage.enter("parse");
       FaultInjector::hit("parse");
       if (Spec.Profile) {
         M = generateWorkload(*Spec.Profile);
       } else {
         std::string Err;
-        M = parseModule(Source, Err,
+        M = parseModule(In.Source, Err,
                         Spec.Name.empty() ? "module" : Spec.Name);
         if (!M) {
           R.Status = JobStatus::ParseError;
           R.Error = Err;
-          return R;
+          return;
         }
       }
     }
 
-    Stage("verify");
+    Stage.enter("verify");
     std::vector<std::string> Errors;
     if (!verifyModule(*M, Errors)) {
       R.Status = JobStatus::VerifyError;
       R.Error = Errors.empty() ? "module failed verification" : Errors.front();
       if (Errors.size() > 1)
         R.Error += " (+" + std::to_string(Errors.size() - 1) + " more)";
-      return R;
+      return;
     }
 
     // The deadline clock starts here: parsing is I/O-bound and cheap, the
@@ -333,7 +420,7 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
     // Stream each pass's start to the progress hook so a crash mid-pass
     // can be attributed to it (the isolated worker forwards these as
     // pipe markers).
-    Cfg.OnPassStart = [&Stage](O2Phase Ph) { Stage(phaseName(Ph)); };
+    Cfg.OnPassStart = [&Stage](O2Phase Ph) { Stage.enter(phaseName(Ph)); };
 
     // One manager per job: the requested detectors all read the same
     // PTA/SHB/HBIndex results, computed once.
@@ -396,28 +483,27 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
       // Only settled results are worth replaying; timeouts and errors
       // must re-run on the next fleet (store() also refuses anything
       // else, including degraded results).
-      if (HaveKey)
-        Cache.store(ContentHash, ConfigFP, R);
+      if (In.HaveKey)
+        ResultCache(Opts.CacheDir).store(In.ContentHash, In.ConfigFP, R);
     }
-  } catch (const std::bad_alloc &) {
-    // Allocation failure is its own status: under a --mem-limit-mb cap
-    // this *is* the OOM record, and in-process it tells the operator to
-    // re-run with --degrade or more memory rather than chase a bug.
-    R.Status = JobStatus::OOM;
-    R.Error = "out of memory";
-    R.Phase = LastStage;
+  });
+  if (!Ok)
     Harvest();
-  } catch (const std::exception &E) {
-    R.Status = JobStatus::InternalError;
-    R.Error = E.what();
-    R.Phase = LastStage;
-    Harvest();
-  } catch (...) {
-    R.Status = JobStatus::InternalError;
-    R.Error = "unknown exception";
-    R.Phase = LastStage;
-    Harvest();
-  }
+}
+
+JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
+  return runOneJob(Spec, Opts, nullptr);
+}
+
+JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
+                        ThreadPool *SharedPool) {
+  // @module-scoped fault specs count only this job's hits, which keeps
+  // injected faults deterministic at any --jobs=N.
+  FaultInjector::JobScope FaultScope(Spec.Name);
+  JobResult R;
+  job::Input In;
+  if (!job::lookup(Spec, Opts, In, R))
+    job::analyze(Spec, Opts, In, SharedPool, R);
   return R;
 }
 
@@ -660,15 +746,10 @@ void o2::printJSONL(const BatchResult &R, OutputStream &OS,
     if (J.Retries)
       W.attribute("retries", uint64_t(J.Retries));
     if (IncludeTimings) {
-      W.attribute("time.pta-ms", J.PTAMs);
-      W.attribute("time.osa-ms", J.OSAMs);
-      W.attribute("time.shb-ms", J.SHBMs);
-      W.attribute("time.hbindex-ms", J.HBIndexMs);
-      W.attribute("time.race-ms", J.DetectMs);
-      W.attribute("time.deadlock-ms", J.DeadlockMs);
-      W.attribute("time.oversync-ms", J.OverSyncMs);
-      W.attribute("time.racerd-ms", J.RacerDMs);
-      W.attribute("time.escape-ms", J.EscapeMs);
+      // Every pass in O2Phase order; O2Phase::None is not a pass.
+      for (unsigned P = 1; P < NumO2Phases; ++P)
+        W.attribute(std::string("time.") + phaseName(O2Phase(P)) + "-ms",
+                    J.PhaseMs[P]);
       W.attribute("time.total-ms", J.totalMs());
     }
     W.key("races");
@@ -679,18 +760,7 @@ void o2::printJSONL(const BatchResult &R, OutputStream &OS,
       W.attribute("location", Rc.Location);
       if (!Rc.DiffStatus.empty())
         W.attribute("diff", Rc.DiffStatus);
-      W.key("first");
-      W.beginObject();
-      W.attribute("stmt", Rc.StmtA);
-      W.attribute("function", Rc.FuncA);
-      W.attribute("write", Rc.WriteA);
-      W.endObject();
-      W.key("second");
-      W.beginObject();
-      W.attribute("stmt", Rc.StmtB);
-      W.attribute("function", Rc.FuncB);
-      W.attribute("write", Rc.WriteB);
-      W.endObject();
+      W.rawMembers(Rc.accesses());
       W.endObject();
     }
     W.endArray();

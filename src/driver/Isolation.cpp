@@ -6,10 +6,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// `--isolate=process`: each batch job runs in a forked worker so that a
-// crash — a signal, a tripped assertion, an address-space-cap OOM, a
-// worker that stops responding — becomes one structured `crashed` /
-// `oom` / `timeout` record instead of taking down the fleet.
+// `--isolate=process`: each batch job that must be analyzed runs in a
+// forked worker so that a crash — a signal, a tripped assertion, an
+// address-space-cap OOM, a worker that stops responding — becomes one
+// structured `crashed` / `oom` / `timeout` record instead of taking down
+// the fleet.
+//
+// The job's lookup step (JobSteps.h) runs first, in this process: a warm
+// cache hit is returned at once, with no fork and no pipe. Only a miss
+// forks a worker, which inherits the step's input and cache key, runs the
+// analyze step and stores the result; it does not look the entry up again.
 //
 // Protocol (worker -> parent, over one pipe):
 //
@@ -25,7 +31,8 @@
 // SIGKILL a grace period later) and classifies the worker's exit:
 // a parsed result wins; death by our own kill is a `timeout`; any other
 // signal is `crashed` with the signal's name; a silent exit is
-// `crashed` with a protocol diagnostic.
+// `crashed` with a protocol diagnostic. A worker that dies before its
+// first marker is attributed to "setup", the stage the lookup step ran.
 //
 // fork() without exec: the child reuses the parent's loaded image and
 // already-parsed options, which keeps isolation usable from library
@@ -39,7 +46,9 @@
 
 #include "o2/Driver/Driver.h"
 
+#include "JobSteps.h"
 #include "JobWire.h"
+#include "o2/Support/FaultInjector.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define O2_HAVE_FORK 1
@@ -105,9 +114,11 @@ bool writeAll(int Fd, const char *Data, size_t Len) {
   return true;
 }
 
-/// The worker body. Runs in the child; never returns.
+/// The worker body: the analyze step of a job whose lookup step missed,
+/// with \p R the lookup step's partial result. Runs in the child; never
+/// returns.
 [[noreturn]] void runWorker(const JobSpec &Spec, const BatchOptions &Opts,
-                            int WriteFd) {
+                            job::Input &In, JobResult &R, int WriteFd) {
   // The parent dying must not SIGPIPE us out of writing the result.
   std::signal(SIGPIPE, SIG_IGN);
 
@@ -134,13 +145,13 @@ bool writeAll(int Fd, const char *Data, size_t Len) {
 
   int Exit = 0;
   try {
-    JobResult R = runOneJob(Spec, WorkerOpts, nullptr);
+    job::analyze(Spec, WorkerOpts, In, nullptr, R);
     std::string Msg = "r:" + wire::serializeJobResult(R);
     if (!writeAll(WriteFd, Msg.data(), Msg.size()))
       Exit = 3;
   } catch (...) {
-    // runOneJob contains its own failures; reaching here means even
-    // reporting failed (e.g. serialization under extreme memory
+    // The analyze step contains its own failures; reaching here means
+    // even reporting failed (e.g. serialization under extreme memory
     // pressure). Exit nonzero so the parent reports a crash.
     Exit = 3;
   }
@@ -152,19 +163,29 @@ bool writeAll(int Fd, const char *Data, size_t Len) {
 
 JobResult o2::runOneJobIsolated(const JobSpec &Spec,
                                 const BatchOptions &Opts) {
-  int Fds[2];
-  if (::pipe(Fds) != 0)
-    return runOneJob(Spec, Opts, nullptr);
+  // The lookup step's fault points (cache.read) count this job's hits
+  // here, in the parent; the worker inherits the scope at fork.
+  FaultInjector::JobScope FaultScope(Spec.Name);
+  JobResult Partial;
+  job::Input In;
+  if (job::lookup(Spec, Opts, In, Partial))
+    return Partial;
 
-  ::pid_t Pid = ::fork();
+  int Fds[2];
+  bool HavePipe = ::pipe(Fds) == 0;
+  ::pid_t Pid = HavePipe ? ::fork() : -1;
   if (Pid < 0) {
-    ::close(Fds[0]);
-    ::close(Fds[1]);
-    return runOneJob(Spec, Opts, nullptr);
+    // No pipe or no fork: analyze in-process.
+    if (HavePipe) {
+      ::close(Fds[0]);
+      ::close(Fds[1]);
+    }
+    job::analyze(Spec, Opts, In, nullptr, Partial);
+    return Partial;
   }
   if (Pid == 0) {
     ::close(Fds[0]);
-    runWorker(Spec, Opts, Fds[1]); // noreturn
+    runWorker(Spec, Opts, In, Partial, Fds[1]); // noreturn
   }
 
   ::close(Fds[1]);
@@ -178,9 +199,9 @@ JobResult o2::runOneJobIsolated(const JobSpec &Spec,
     HardMs = 2 * Opts.DeadlineMs + 10000;
   constexpr uint64_t KillGraceMs = 2000;
 
-  std::string Buf;       // unconsumed protocol bytes
-  std::string LastStage; // most recent p: marker
-  std::string Payload;   // bytes after r:
+  std::string Buf;                 // unconsumed protocol bytes
+  std::string LastStage = "setup"; // most recent p: marker
+  std::string Payload;             // bytes after r:
   bool InResult = false;
   bool SentTerm = false, SentKill = false;
 
@@ -264,9 +285,9 @@ JobResult o2::runOneJobIsolated(const JobSpec &Spec,
     }
   }
 
-  JobResult R;
-  R.Name = Spec.Name;
-  R.Analyses = Opts.Analyses;
+  // No result: the lookup step's record (name, analyses, cache miss)
+  // becomes the crash record.
+  JobResult &R = Partial;
   R.Phase = LastStage;
   if (SentTerm || SentKill) {
     // Killed by our own escalation: semantically a deadline overrun on

@@ -8,8 +8,11 @@
 
 #include "JobWire.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <memory>
+#include <unordered_map>
+#include <vector>
 
 using namespace o2;
 
@@ -39,7 +42,8 @@ class FieldReader {
 public:
   explicit FieldReader(std::string_view Data) : Data(Data) {}
 
-  bool get(std::string &Out) {
+  /// The next field's bytes, as a view into the payload.
+  bool get(std::string_view &Out) {
     size_t Colon = Data.find(':', Pos);
     if (Colon == std::string_view::npos || Colon == Pos ||
         Colon - Pos > 19)
@@ -55,27 +59,33 @@ public:
     if (Start >= Data.size() || Len >= Data.size() - Start ||
         Data[Start + Len] != ',')
       return fail();
-    Out.assign(Data.data() + Start, Len);
+    Out = Data.substr(Start, Len);
     Pos = Start + Len + 1;
     return true;
   }
 
-  bool getU64(uint64_t &V) {
-    std::string S;
-    if (!get(S) || S.empty())
-      return fail();
-    char *End = nullptr;
-    V = std::strtoull(S.c_str(), &End, 10);
-    return *End == '\0' || fail();
+  bool get(std::string &Out) {
+    std::string_view V;
+    if (!get(V))
+      return false;
+    Out.assign(V);
+    return true;
   }
 
-  bool getDouble(double &V) {
-    std::string S;
+  /// A whole field holding one decimal number (std::from_chars rules).
+  template <typename T> bool getNumber(T &V) {
+    std::string_view S;
     if (!get(S) || S.empty())
       return fail();
-    char *End = nullptr;
-    V = std::strtod(S.c_str(), &End);
-    return *End == '\0' || fail();
+    auto [Ptr, EC] = std::from_chars(S.data(), S.data() + S.size(), V);
+    return (EC == std::errc() && Ptr == S.data() + S.size()) || fail();
+  }
+
+  /// A list length: no more elements than the bytes left could hold
+  /// (each takes at least one "0:," field), so a corrupt length never
+  /// turns into a large allocation.
+  bool getCount(uint64_t &N) {
+    return (getNumber(N) && N <= (Data.size() - Pos) / 3) || fail();
   }
 
   bool ok() const { return Ok; }
@@ -91,10 +101,6 @@ private:
   size_t Pos = 0;
   bool Ok = true;
 };
-
-/// A sane upper bound on serialized list lengths: a deliberately corrupt
-/// length field must not turn into a multi-gigabyte allocation.
-constexpr uint64_t MaxListLen = 1u << 24;
 
 const JobStatus AllStatuses[] = {
     JobStatus::Clean,       JobStatus::Races,         JobStatus::Timeout,
@@ -114,15 +120,8 @@ std::string wire::serializeJobResult(const JobResult &R) {
   W.putU64(R.DegradedConfigFP);
   W.putU64(R.Retries);
   W.putU64(uint64_t(R.Cache));
-  W.putDouble(R.PTAMs);
-  W.putDouble(R.OSAMs);
-  W.putDouble(R.SHBMs);
-  W.putDouble(R.HBIndexMs);
-  W.putDouble(R.DetectMs);
-  W.putDouble(R.DeadlockMs);
-  W.putDouble(R.OverSyncMs);
-  W.putDouble(R.RacerDMs);
-  W.putDouble(R.EscapeMs);
+  for (double Ms : R.PhaseMs)
+    W.putDouble(Ms);
 
   const auto &Counters = R.Stats.counters();
   W.putU64(Counters.size());
@@ -131,16 +130,21 @@ std::string wire::serializeJobResult(const JobResult &R) {
     W.putU64(Value);
   }
 
+  // Races of one pair of accesses share its rendering: each distinct
+  // rendering is written once, and races refer to it by index.
+  std::unordered_map<const std::string *, uint64_t> Index;
+  std::vector<std::string_view> Distinct;
+  for (const RaceRecord &Rc : R.Races)
+    if (Index.try_emplace(Rc.Accesses.get(), Distinct.size()).second)
+      Distinct.push_back(Rc.accesses());
+  W.putU64(Distinct.size());
+  for (std::string_view A : Distinct)
+    W.put(A);
   W.putU64(R.Races.size());
   for (const RaceRecord &Rc : R.Races) {
     W.put(Rc.Fingerprint);
     W.put(Rc.Location);
-    W.put(Rc.StmtA);
-    W.put(Rc.FuncA);
-    W.putU64(Rc.WriteA);
-    W.put(Rc.StmtB);
-    W.put(Rc.FuncB);
-    W.putU64(Rc.WriteB);
+    W.putU64(Index[Rc.Accesses.get()]);
   }
 
   W.putU64(R.Deadlocks.size());
@@ -186,51 +190,55 @@ bool wire::deserializeJobResult(std::string_view Payload, JobResult &R) {
 
   uint64_t Degraded = 0, DegradedFP = 0, Retries = 0, Cache = 0;
   if (!Rd.get(R.Phase) || !Rd.get(R.Error) || !Rd.get(R.Signal) ||
-      !Rd.getU64(Degraded) || !Rd.getU64(DegradedFP) ||
-      !Rd.getU64(Retries) || !Rd.getU64(Cache) || Cache > 2)
+      !Rd.getNumber(Degraded) || !Rd.getNumber(DegradedFP) ||
+      !Rd.getNumber(Retries) || !Rd.getNumber(Cache) || Cache > 2)
     return false;
   R.Degraded = Degraded != 0;
   R.DegradedConfigFP = DegradedFP;
   R.Retries = unsigned(Retries);
   R.Cache = JobResult::CacheOutcome(Cache);
 
-  if (!Rd.getDouble(R.PTAMs) || !Rd.getDouble(R.OSAMs) ||
-      !Rd.getDouble(R.SHBMs) || !Rd.getDouble(R.HBIndexMs) ||
-      !Rd.getDouble(R.DetectMs) || !Rd.getDouble(R.DeadlockMs) ||
-      !Rd.getDouble(R.OverSyncMs) || !Rd.getDouble(R.RacerDMs) ||
-      !Rd.getDouble(R.EscapeMs))
-    return false;
+  for (double &Ms : R.PhaseMs)
+    if (!Rd.getNumber(Ms))
+      return false;
 
   uint64_t N = 0;
-  if (!Rd.getU64(N) || N > MaxListLen)
+  if (!Rd.getCount(N))
     return false;
   for (uint64_t I = 0; I < N; ++I) {
     std::string Name;
     uint64_t Value = 0;
-    if (!Rd.get(Name) || !Rd.getU64(Value))
+    if (!Rd.get(Name) || !Rd.getNumber(Value))
       return false;
     R.Stats.set(Name, Value);
   }
 
-  if (!Rd.getU64(N) || N > MaxListLen)
+  if (!Rd.getCount(N))
+    return false;
+  std::vector<std::shared_ptr<const std::string>> Accesses(N);
+  for (auto &A : Accesses) {
+    std::string Bytes;
+    if (!Rd.get(Bytes))
+      return false;
+    A = std::make_shared<const std::string>(std::move(Bytes));
+  }
+  if (!Rd.getCount(N))
     return false;
   R.Races.resize(N);
   for (RaceRecord &Rc : R.Races) {
-    uint64_t WA = 0, WB = 0;
+    uint64_t A = 0;
     if (!Rd.get(Rc.Fingerprint) || !Rd.get(Rc.Location) ||
-        !Rd.get(Rc.StmtA) || !Rd.get(Rc.FuncA) || !Rd.getU64(WA) ||
-        !Rd.get(Rc.StmtB) || !Rd.get(Rc.FuncB) || !Rd.getU64(WB))
+        !Rd.getNumber(A) || A >= Accesses.size())
       return false;
-    Rc.WriteA = WA != 0;
-    Rc.WriteB = WB != 0;
+    Rc.Accesses = Accesses[A];
   }
 
-  if (!Rd.getU64(N) || N > MaxListLen)
+  if (!Rd.getCount(N))
     return false;
   R.Deadlocks.resize(N);
   for (DeadlockRecord &D : R.Deadlocks) {
     uint64_t NumWit = 0;
-    if (!Rd.get(D.Locks) || !Rd.getU64(NumWit) || NumWit > MaxListLen)
+    if (!Rd.get(D.Locks) || !Rd.getCount(NumWit))
       return false;
     D.Witnesses.resize(NumWit);
     for (std::string &Wit : D.Witnesses)
@@ -238,19 +246,15 @@ bool wire::deserializeJobResult(std::string_view Payload, JobResult &R) {
         return false;
   }
 
-  if (!Rd.getU64(N) || N > MaxListLen)
+  if (!Rd.getCount(N))
     return false;
   R.OverSyncs.resize(N);
-  for (OverSyncRecord &O : R.OverSyncs) {
-    uint64_t Thread = 0, Accesses = 0;
-    if (!Rd.get(O.Stmt) || !Rd.get(O.Function) || !Rd.getU64(Thread) ||
-        !Rd.getU64(Accesses))
+  for (OverSyncRecord &O : R.OverSyncs)
+    if (!Rd.get(O.Stmt) || !Rd.get(O.Function) ||
+        !Rd.getNumber(O.Thread) || !Rd.getNumber(O.NumAccesses))
       return false;
-    O.Thread = unsigned(Thread);
-    O.NumAccesses = unsigned(Accesses);
-  }
 
-  if (!Rd.getU64(N) || N > MaxListLen)
+  if (!Rd.getCount(N))
     return false;
   R.RacerDWarnings.resize(N);
   for (RacerDRecord &Rw : R.RacerDWarnings)

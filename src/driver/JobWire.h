@@ -14,11 +14,16 @@
 /// separators inside values and truncation or corruption fails a read
 /// instead of misparsing.
 ///
-/// Unlike the old cache-private serializer this carries *every* status
-/// (a worker must be able to report a timeout or an OOM over the pipe)
-/// plus the containment fields (signal, degraded, retries). Policy about
-/// which statuses are acceptable lives in the consumers: the cache
-/// refuses to store or replay anything but Clean/Races.
+/// It carries *every* status (a worker must be able to report a timeout
+/// or an OOM over the pipe) plus the containment fields (signal,
+/// degraded, retries). Policy about which statuses are acceptable lives
+/// in the consumers: the cache refuses to store or replay anything but
+/// Clean/Races.
+///
+/// Races carry their accesses as the report renders them
+/// (RaceRecord::Accesses). Each distinct rendering is written once, and
+/// each race refers to it by index, so the decoded races share them just
+/// as the job's own records did.
 ///
 /// Internal to o2Driver — not installed under include/.
 ///

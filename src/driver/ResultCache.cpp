@@ -36,12 +36,16 @@ std::string toHex16(uint64_t V) {
   return Out;
 }
 
+/// Reads all of \p Path into one allocation of the file's size.
 std::string readFile(const std::string &Path, bool &Ok) {
   Ok = false;
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)
     return {};
   std::string Content;
+  std::error_code EC;
+  if (uintmax_t Size = std::filesystem::file_size(Path, EC); !EC)
+    Content.reserve(size_t(Size));
   char Buf[64 * 1024];
   for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
     Content.append(Buf, N);
@@ -124,8 +128,8 @@ void ResultCache::store(uint64_t ContentHash, uint64_t ConfigFP,
     std::filesystem::create_directories(Dir, EC);
 
     std::string Payload = wire::serializeJobResult(R);
-    std::string Content = "o2cache " + std::to_string(FormatVersion) + " " +
-                          toHex16(fnv1a(Payload)) + "\n" + Payload;
+    std::string Header = "o2cache " + std::to_string(FormatVersion) + " " +
+                         toHex16(fnv1a(Payload)) + "\n";
 
     // Atomic publish: never expose a half-written entry, even to a
     // concurrent fleet sharing the directory.
@@ -135,8 +139,10 @@ void ResultCache::store(uint64_t ContentHash, uint64_t ConfigFP,
     std::FILE *F = std::fopen(Tmp.c_str(), "wb");
     if (!F)
       return;
-    bool Ok = std::fwrite(Content.data(), 1, Content.size(), F) ==
-              Content.size();
+    bool Ok = std::fwrite(Header.data(), 1, Header.size(), F) ==
+                  Header.size() &&
+              std::fwrite(Payload.data(), 1, Payload.size(), F) ==
+                  Payload.size();
     Ok &= std::fclose(F) == 0;
     if (Ok)
       std::rename(Tmp.c_str(), Final.c_str());

@@ -176,11 +176,10 @@ CandidateList collectCandidates(const PTAResult &PTA, const SHBGraph &SHB,
   for (auto &[Loc, I] : Infos) {
     if (Opts.HandleAtomics && Atomics.isAtomic(Loc))
       continue;
-    if (I.WriteThreads.none())
-      continue;
-    BitVector All = I.ReadThreads;
-    All.unionWith(I.WriteThreads);
-    if (All.count() < 2)
+    // Shared as OSA defines it (LocAccessSets::isShared), over threads:
+    // a writer, and at least two accessing threads.
+    if (I.WriteThreads.none() ||
+        BitVector::unionCount(I.ReadThreads, I.WriteThreads, 2) < 2)
       continue;
     if (!Loc.isGlobal())
       SharedObjects.insert(Loc.object());

@@ -161,7 +161,8 @@ const std::vector<FaultPointInfo> &FaultInjector::catalogue() {
   static const std::vector<FaultPointInfo> Points = {
       {"parse", "before the OIR parser runs on a job's source"},
       {"alloc", "the job's analysis-session allocation"},
-      {"cache.read", "result-cache lookup IO"},
+      {"cache.read", "result-cache lookup IO, in the batch driver's own "
+                     "process; throw and oom only"},
       {"cache.write", "result-cache store IO"},
       {"pass.pta", "start of the pointer-analysis pass"},
       {"pass.osa", "start of the origin-sharing pass"},
@@ -228,6 +229,17 @@ bool FaultInjector::armFromSpec(const std::string &Spec, std::string &Err) {
   if (!parseAction(ActionStr, A)) {
     Err = "unknown fault action '" + ActionStr +
           "' (throw, oom, hog, segv, kill, abort, exit, hang)";
+    return false;
+  }
+  // The batch driver looks the cache up in its own process, before any
+  // worker is forked: an action there that kills, stalls or exhausts the
+  // process would take down the whole fleet. throw and oom are the two
+  // that ResultCache::lookup turns into a miss.
+  if (Point == "cache.read" && A != FaultAction::Throw &&
+      A != FaultAction::OOM) {
+    Err = "fault point 'cache.read' takes only the throw and oom actions, "
+          "got '" + ActionStr + "' (it fires in the batch driver's own "
+          "process)";
     return false;
   }
 

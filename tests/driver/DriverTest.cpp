@@ -15,9 +15,11 @@
 
 #include "o2/Driver/Driver.h"
 
+#include "JobWire.h"
 #include "o2/Driver/ResultCache.h"
 #include "o2/IR/Parser.h"
 #include "o2/Support/FaultInjector.h"
+#include "o2/Support/JSONWriter.h"
 #include "o2/Support/OutputStream.h"
 
 #include <filesystem>
@@ -458,29 +460,77 @@ TEST(DriverTest, CorruptCacheEntriesDegradeToMisses) {
   EXPECT_EQ(renderJSONL(Healed), Golden);
 }
 
+uint64_t fnv1a(std::string_view S) {
+  uint64_t H = 1469598103934665603ull;
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+TEST(DriverTest, VersionTwoCacheEntriesMiss) {
+  std::vector<JobSpec> Specs = {sourceSpec("clean", CleanProgram)};
+  BatchOptions Opts;
+  Opts.CacheDir = freshCacheDir("version2");
+  std::string Golden = renderJSONL(runBatch(Specs, Opts));
+
+  // A well-formed version-2 entry for a clean result: status, phase,
+  // error, signal, degraded, fallback fingerprint, retries, cache
+  // outcome, nine phase timings, then empty counter, race, deadlock,
+  // oversync and racerd lists — under a header whose checksum matches.
+  std::string Payload = "5:clean,0:,0:,0:,1:0,1:0,1:0,1:0,";
+  for (int I = 0; I < 9; ++I)
+    Payload += "1:0,";
+  for (int I = 0; I < 5; ++I)
+    Payload += "1:0,";
+  char Header[64];
+  std::snprintf(Header, sizeof(Header), "o2cache 2 %016llx\n",
+                static_cast<unsigned long long>(fnv1a(Payload)));
+  size_t Entries = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Opts.CacheDir)) {
+    std::ofstream Out(E.path(), std::ios::trunc | std::ios::binary);
+    Out << Header << Payload;
+    ++Entries;
+  }
+  ASSERT_EQ(Entries, 1u);
+
+  BatchResult Old = runBatch(Specs, Opts);
+  EXPECT_EQ(Old.CacheHits, 0u);
+  EXPECT_EQ(Old.CacheMisses, 1u);
+  EXPECT_EQ(renderJSONL(Old), Golden);
+
+  // The re-run replaced the entry with the current version.
+  BatchResult Healed = runBatch(Specs, Opts);
+  EXPECT_EQ(Healed.CacheHits, 1u);
+  EXPECT_EQ(renderJSONL(Healed), Golden);
+}
+
 TEST(DriverTest, TotalMsIncludesAuxAnalyses) {
   // The regression the manager fixed: totalMs used to sum only the four
   // core phases, silently dropping aux-analysis time.
   JobResult R;
-  R.PTAMs = 1;
-  R.OSAMs = 2;
-  R.SHBMs = 4;
-  R.HBIndexMs = 8;
-  R.DetectMs = 16;
-  R.DeadlockMs = 32;
-  R.OverSyncMs = 64;
-  R.RacerDMs = 128;
-  R.EscapeMs = 256;
+  R.PhaseMs[size_t(O2Phase::PTA)] = 1;
+  R.PhaseMs[size_t(O2Phase::OSA)] = 2;
+  R.PhaseMs[size_t(O2Phase::SHB)] = 4;
+  R.PhaseMs[size_t(O2Phase::HBIndex)] = 8;
+  R.PhaseMs[size_t(O2Phase::Detect)] = 16;
+  R.PhaseMs[size_t(O2Phase::Deadlock)] = 32;
+  R.PhaseMs[size_t(O2Phase::OverSync)] = 64;
+  R.PhaseMs[size_t(O2Phase::RacerD)] = 128;
+  R.PhaseMs[size_t(O2Phase::Escape)] = 256;
   EXPECT_DOUBLE_EQ(R.totalMs(), 511.0);
 
   BatchOptions Opts;
   Opts.Analyses = AnalysisSet::all();
   JobResult Live = runOneJob(sourceSpec("racy", RacyProgram), Opts);
   EXPECT_EQ(Live.Status, JobStatus::Races);
+  auto Ms = [&Live](O2Phase P) { return Live.PhaseMs[size_t(P)]; };
   EXPECT_DOUBLE_EQ(Live.totalMs(),
-                   Live.PTAMs + Live.OSAMs + Live.SHBMs + Live.HBIndexMs +
-                       Live.DetectMs + Live.DeadlockMs + Live.OverSyncMs +
-                       Live.RacerDMs + Live.EscapeMs);
+                   Ms(O2Phase::PTA) + Ms(O2Phase::OSA) + Ms(O2Phase::SHB) +
+                       Ms(O2Phase::HBIndex) + Ms(O2Phase::Detect) +
+                       Ms(O2Phase::Deadlock) + Ms(O2Phase::OverSync) +
+                       Ms(O2Phase::RacerD) + Ms(O2Phase::Escape));
   EXPECT_GT(Live.totalMs(), 0.0);
 }
 
@@ -866,6 +916,70 @@ TEST_F(ContainmentTest, CacheIOFaultsDegradeToMisses) {
   EXPECT_EQ(Fourth.CacheHits, 1u);
 }
 
+TEST_F(ContainmentTest, IsolatedHitsAreServedWithoutAWorker) {
+  std::vector<JobSpec> Specs = {sourceSpec("m", RacyProgram)};
+  BatchOptions Opts;
+  Opts.Isolate = IsolationMode::Process;
+  Opts.CacheDir = freshCacheDir("isolated-hit");
+  BatchResult Cold = runBatch(Specs, Opts);
+  ASSERT_EQ(Cold.CacheMisses, 1u);
+
+  // The lookup runs in this process, so cache.read's counter advances
+  // here from run to run. Were the lookup made in a forked worker, each
+  // worker would start from the counter at fork (0), and the second run
+  // would hit as well.
+  armOrDie("cache.read@m:2:throw");
+  BatchResult First = runBatch(Specs, Opts);
+  EXPECT_EQ(First.CacheHits, 1u);
+  BatchResult Second = runBatch(Specs, Opts);
+  EXPECT_EQ(Second.CacheHits, 0u) << "the lookup was not made in this process";
+  EXPECT_EQ(Second.CacheMisses, 1u);
+  EXPECT_EQ(renderJSONL(Second), renderJSONL(Cold));
+  EXPECT_EQ(renderJSONL(First), renderJSONL(Cold));
+
+  // A hit does not reach the analyze step: a fault on every pass is
+  // never met.
+  FaultInjector::instance().disarm();
+  armOrDie("pass.pta@m:*:kill");
+  BatchResult Third = runBatch(Specs, Opts);
+  EXPECT_EQ(Third.CacheHits, 1u);
+  EXPECT_EQ(Third.Jobs[0].Status, JobStatus::Races);
+}
+
+TEST_F(ContainmentTest, BatchCommandRejectsProcessKillingCacheReadFaults) {
+  std::string Dir = freshCacheDir("cache-read-actions");
+  std::filesystem::create_directories(Dir);
+  std::string Input = Dir + "/racy.oir";
+  std::ofstream(Input) << RacyProgram;
+  for (const char *Action : {"hog", "segv", "kill", "abort", "exit", "hang"}) {
+    testing::internal::CaptureStderr();
+    int Exit = runBatchCommand(
+        {std::string("--inject-fault=cache.read:1:") + Action, "--quiet",
+         "--isolate=process", "--cache-dir=" + Dir + "/cache",
+         "--out=" + Dir + "/report.jsonl", Input});
+    std::string Err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(Exit, ExitError) << Action;
+    EXPECT_NE(Err.find("o2batch: fault point 'cache.read' takes only the "
+                       "throw and oom actions"),
+              std::string::npos)
+        << Action << ": " << Err;
+    EXPECT_FALSE(FaultInjector::instance().anyArmed()) << Action;
+  }
+  // The two actions it takes degrade the lookup to a miss.
+  for (const char *Action : {"throw", "oom"}) {
+    FaultInjector::instance().disarm();
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(runBatchCommand(
+                  {std::string("--inject-fault=cache.read:*:") + Action,
+                   "--quiet", "--isolate=process",
+                   "--cache-dir=" + Dir + "/cache",
+                   "--out=" + Dir + "/report.jsonl", Input}),
+              ExitRacesFound)
+        << Action;
+    testing::internal::GetCapturedStderr();
+  }
+}
+
 /// Two threads that take two locks in opposite orders (a deadlock
 /// cycle), each hold a lock over a private object (an over-synchronized
 /// region), and race on @g through \p N writes against \p N reads.
@@ -950,6 +1064,128 @@ TEST(DriverTest, FileSinkMatchesStringSink) {
   Actual.resize(std::fread(Actual.data(), 1, Actual.size(), F));
   std::fclose(F);
   EXPECT_EQ(Actual, Expected);
+}
+
+std::string renderJSONL(const BatchResult &R, bool Timings) {
+  std::string Buf;
+  StringOutputStream OS(Buf);
+  printJSONL(R, OS, Timings);
+  return Buf;
+}
+
+TEST(DriverTest, WarmIsolatedRunMatchesColdInProcessRun) {
+  std::vector<JobSpec> Specs = {
+      sourceSpec("locked", lockedRacyProgram(6)),
+      sourceSpec("racy", RacyProgram),
+      sourceSpec("clean", CleanProgram),
+  };
+  BatchOptions Opts;
+  Opts.Analyses = AnalysisSet::all();
+  Opts.CacheDir = freshCacheDir("warm-isolated");
+  Opts.Jobs = 1;
+  BatchResult Cold = runBatch(Specs, Opts);
+  ASSERT_EQ(Cold.CacheMisses, 3u);
+
+  // A baseline that leaves one race of "locked" unchanged, makes the
+  // rest new, and holds one fingerprint that is no longer reported.
+  ASSERT_EQ(Cold.Jobs[1].Name, "locked");
+  ASSERT_GT(Cold.Jobs[1].Races.size(), 1u);
+  Baseline Base;
+  Base["locked"] = {Cold.Jobs[1].Races[0].Fingerprint, "00000000deadbeef"};
+
+  Opts.Isolate = IsolationMode::Process;
+  for (unsigned Jobs : {1u, 4u}) {
+    Opts.Jobs = Jobs;
+    BatchResult Warm = runBatch(Specs, Opts);
+    EXPECT_EQ(Warm.CacheHits, 3u);
+    EXPECT_EQ(Warm.CacheMisses, 0u);
+    // The timings replayed are the cold run's own.
+    for (bool Timings : {false, true})
+      EXPECT_EQ(renderJSONL(Warm, Timings), renderJSONL(Cold, Timings))
+          << "jobs=" << Jobs << " timings=" << Timings;
+
+    BatchResult ColdDiff = Cold;
+    applyBaseline(ColdDiff, Base);
+    applyBaseline(Warm, Base);
+    std::string Diff = renderJSONL(Warm);
+    EXPECT_EQ(Diff, renderJSONL(ColdDiff)) << "jobs=" << Jobs;
+    EXPECT_NE(Diff.find("\"diff\":\"unchanged\",\"first\":{"),
+              std::string::npos);
+    EXPECT_NE(Diff.find("\"diff\":\"new\",\"first\":{"), std::string::npos);
+    EXPECT_NE(Diff.find("\"fixed\":[\"00000000deadbeef\"]"),
+              std::string::npos);
+  }
+  EXPECT_NE(renderJSONL(Cold, true).find("\"time.pta-ms\":"),
+            std::string::npos);
+}
+
+TEST(DriverTest, JobWireRoundTripsRenderedRaces) {
+  // A statement with a quote, a backslash, a control character and a
+  // byte >= 0x80, rendered as the report renders race accesses.
+  const std::string Stmt = "x = \"q\\\x01\xc3\xa9\"";
+  std::string Object;
+  {
+    StringOutputStream OS(Object);
+    JSONWriter W(OS);
+    W.beginObject();
+    for (const char *Side : {"first", "second"}) {
+      W.key(Side);
+      W.beginObject();
+      W.attribute("stmt", Stmt);
+      W.attribute("function", "run");
+      W.attribute("write", true);
+      W.endObject();
+    }
+    W.endObject();
+  }
+  auto Shared = std::make_shared<const std::string>(
+      JSONWriter::membersOf(Object));
+  auto Other = std::make_shared<const std::string>("\"first\":{}");
+
+  JobResult R;
+  R.Status = JobStatus::Races;
+  R.PhaseMs[size_t(O2Phase::PTA)] = 0.1;
+  R.PhaseMs[size_t(O2Phase::Escape)] = 1e-300;
+  R.Stats.set("race.races", 3);
+  // Locations are raw text: they may hold any byte.
+  for (const char *Loc : {"@g", "T@run:\x01\xff\"\\", "@h"}) {
+    RaceRecord &Rc = R.Races.emplace_back();
+    Rc.Fingerprint = "0123456789abcdef";
+    Rc.Location = Loc;
+    Rc.Accesses = R.Races.size() == 2 ? Other : Shared;
+  }
+  std::string Payload = wire::serializeJobResult(R);
+
+  JobResult Back;
+  ASSERT_TRUE(wire::deserializeJobResult(Payload, Back));
+  EXPECT_EQ(Back.Status, JobStatus::Races);
+  EXPECT_EQ(Back.PhaseMs, R.PhaseMs);
+  EXPECT_EQ(Back.Stats.counters(), R.Stats.counters());
+  ASSERT_EQ(Back.Races.size(), 3u);
+  for (size_t I = 0; I < 3; ++I) {
+    EXPECT_EQ(Back.Races[I].Fingerprint, R.Races[I].Fingerprint);
+    EXPECT_EQ(Back.Races[I].Location, R.Races[I].Location);
+    EXPECT_EQ(Back.Races[I].accesses(), R.Races[I].accesses());
+  }
+  // Races that shared one rendering still do.
+  EXPECT_EQ(Back.Races[0].Accesses, Back.Races[2].Accesses);
+  EXPECT_NE(Back.Races[0].Accesses, Back.Races[1].Accesses);
+
+  // The report prints the bytes as they were rendered.
+  BatchResult Before, After;
+  Before.Jobs = {R};
+  After.Jobs = {Back};
+  std::string Report = renderJSONL(After);
+  EXPECT_EQ(Report, renderJSONL(Before));
+  EXPECT_NE(Report.find("\"stmt\":\"x = \\\"q\\\\\\u0001\xc3\xa9\\\"\""),
+            std::string::npos);
+
+  // Every truncation fails.
+  for (size_t Len = 0; Len < Payload.size(); ++Len) {
+    JobResult Cut;
+    EXPECT_FALSE(wire::deserializeJobResult(Payload.substr(0, Len), Cut))
+        << Len;
+  }
 }
 
 TEST(DriverTest, ParseUnsignedTakesWholeInRangeDecimals) {

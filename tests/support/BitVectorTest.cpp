@@ -86,6 +86,21 @@ TEST(BitVectorTest, WordReadsZeroPastEnd) {
   EXPECT_EQ(BV.word(1000), 0u);
 }
 
+TEST(BitVectorTest, UnionCountStopsAtTheLimit) {
+  BitVector A, B;
+  EXPECT_EQ(BitVector::unionCount(A, B, 2), 0u);
+  A.set(3);
+  B.set(3);
+  EXPECT_EQ(BitVector::unionCount(A, B, 2), 1u) << "a shared bit counts once";
+  B.set(200); // B is wider than A
+  EXPECT_EQ(BitVector::unionCount(A, B, 2), 2u);
+  EXPECT_EQ(BitVector::unionCount(B, A, 2), 2u);
+  A.set(70);
+  EXPECT_EQ(BitVector::unionCount(A, B, 100), 3u);
+  // Counting stops at the first word that reaches the limit.
+  EXPECT_EQ(BitVector::unionCount(A, B, 1), 1u);
+}
+
 TEST(BitVectorTest, FindFirstAndNext) {
   BitVector BV;
   BV.set(7);

@@ -124,6 +124,34 @@ TEST_F(FaultInjectorTest, SpecParsingRejectsMalformedInput) {
   EXPECT_FALSE(I.anyArmed());
 }
 
+TEST_F(FaultInjectorTest, CacheReadTakesOnlyThrowAndOom) {
+  // The batch driver looks the cache up in its own process, so an action
+  // on cache.read that kills or stalls the process is refused.
+  std::string Err;
+  FaultInjector &I = FaultInjector::instance();
+  for (const char *Action :
+       {"hog", "segv", "kill", "abort", "exit", "hang"}) {
+    EXPECT_FALSE(I.armFromSpec(std::string("cache.read:1:") + Action, Err))
+        << Action;
+    EXPECT_NE(Err.find("cache.read"), std::string::npos) << Err;
+    EXPECT_NE(Err.find("throw and oom"), std::string::npos) << Err;
+    EXPECT_FALSE(
+        I.armFromSpec(std::string("cache.read@m:*:") + Action, Err))
+        << Action;
+  }
+  EXPECT_FALSE(I.anyArmed());
+
+  // throw (the default) and oom both reach the lookup as exceptions.
+  ASSERT_TRUE(I.armFromSpec("cache.read:1", Err)) << Err;
+  EXPECT_THROW(FaultInjector::hit("cache.read"), std::runtime_error);
+  ASSERT_TRUE(I.armFromSpec("cache.read@m:1:oom", Err)) << Err;
+  FaultInjector::JobScope Scope("m");
+  EXPECT_THROW(FaultInjector::hit("cache.read"), std::bad_alloc);
+
+  // The rule is cache.read's alone.
+  ASSERT_TRUE(I.armFromSpec("cache.write:1000000:kill", Err)) << Err;
+}
+
 TEST_F(FaultInjectorTest, CatalogueCoversTheDriverPipeline) {
   // The docs and CLI help are generated from this list; pin the names so
   // a renamed fault point is a conscious, documented change.

@@ -147,6 +147,30 @@ TEST(JSONWriterTest, EveryByteEscapesLikeThePerCharacterRule) {
   EXPECT_EQ(renderString(All), Expected);
 }
 
+TEST(JSONWriterTest, RawMembersJoinTheObjectAsRendered) {
+  // Members rendered by one writer, copied into another's object.
+  std::string Object = render([](JSONWriter &W) {
+    W.beginObject();
+    W.attribute("a", "x\"y");
+    W.attribute("b", true);
+    W.endObject();
+  });
+  EXPECT_EQ(JSONWriter::membersOf(Object), "\"a\":\"x\\\"y\",\"b\":true");
+
+  std::string Buf;
+  StringOutputStream OS(Buf);
+  JSONWriter W(OS);
+  W.beginObject();
+  W.rawMembers(JSONWriter::membersOf(Object)); // first: no comma
+  W.attribute("c", uint64_t(1));
+  W.rawMembers(JSONWriter::membersOf(Object)); // later: one comma
+  W.rawMembers("");                            // nothing at all
+  W.attribute("d", uint64_t(2));
+  W.endObject();
+  EXPECT_EQ(Buf, "{\"a\":\"x\\\"y\",\"b\":true,\"c\":1,"
+                 "\"a\":\"x\\\"y\",\"b\":true,\"d\":2}");
+}
+
 TEST(JSONWriterTest, NegativeAndNull) {
   std::string Out = render([](JSONWriter &W) {
     W.beginArray();
