@@ -32,7 +32,6 @@
 #include <array>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -162,26 +161,32 @@ struct BatchOptions {
   std::function<void(const std::string &)> StageHook;
 };
 
-/// One reported race, rendered with a content-derived fingerprint that is
-/// stable across reordering of unrelated statements (it hashes the
-/// location's symbolic description and the statement texts, never raw
-/// statement IDs).
-struct RaceRecord {
-  std::string Fingerprint; ///< 16 hex digits, FNV-1a.
-  std::string Location;    ///< Human-readable location (obj IDs elided).
-  /// The two accesses exactly as the JSONL report carries them:
-  /// `"first":{"stmt":…,"function":…,"write":…},"second":{…}`. Rendered
-  /// once per job for each distinct pair of accesses and shared by every
-  /// race of that pair (a race-dense module reports a few thousand pairs
-  /// on hundreds of thousands of races). The cache, the worker pipe and
-  /// printJSONL copy these bytes and never escape them again.
-  std::shared_ptr<const std::string> Accesses;
-  std::string DiffStatus; ///< "" | "new" | "unchanged" (baseline mode).
+/// What every race at the same location between the same two accesses
+/// shares, rendered once per job: a race-dense module reports a few
+/// thousand of these on hundreds of thousands of races. The cache, the
+/// worker pipe and printJSONL copy these bytes and never render or escape
+/// them again.
+struct RaceText {
+  /// 16 hex digits, FNV-1a over the location's symbolic description and
+  /// the two access descriptors (statement text, function, R/W), never
+  /// raw statement IDs: stable across reordering of unrelated statements.
+  std::string Fingerprint;
+  std::string Location; ///< Human-readable location (obj IDs elided).
+  /// The report object: `{"fingerprint":…,"location":…,"first":{"stmt":…,
+  /// "function":…,"write":…},"second":{…}}`.
+  std::string Json;
+  /// Offset in Json of the comma before "first", where `,"diff":…` goes
+  /// under --baseline.
+  size_t DiffAt = 0;
+};
 
-  /// The rendered accesses ("" if none were set).
-  std::string_view accesses() const {
-    return Accesses ? std::string_view(*Accesses) : std::string_view();
-  }
+/// A race's baseline classification (set by applyBaseline).
+enum class RaceDiff : uint8_t { None, New, Unchanged };
+
+/// One reported race: the index of its text in JobResult::RaceTexts.
+struct RaceRecord {
+  uint32_t Text = 0;
+  RaceDiff Diff = RaceDiff::None;
 };
 
 /// One potential deadlock cycle (deadlock analysis section).
@@ -244,7 +249,13 @@ struct JobResult {
   /// Per-job counters from every ran pass (partial on timeout).
   StatisticRegistry Stats;
 
+  /// Each distinct race text once; Races refer to them by index.
+  std::vector<RaceText> RaceTexts;
   std::vector<RaceRecord> Races;
+  const RaceText &text(const RaceRecord &Rc) const {
+    return RaceTexts[Rc.Text];
+  }
+
   std::vector<DeadlockRecord> Deadlocks;
   std::vector<OverSyncRecord> OverSyncs;
   std::vector<RacerDRecord> RacerDWarnings;
@@ -328,8 +339,8 @@ using Baseline = std::map<std::string, std::set<std::string>>;
 /// with or without timings both load.
 Baseline loadBaseline(const std::string &JSONLContent);
 
-/// Classifies every race in \p R against \p B (DiffStatus = new or
-/// unchanged), records baseline fingerprints that disappeared as fixed,
+/// Classifies every race in \p R against \p B (RaceDiff::New or
+/// Unchanged), records baseline fingerprints that disappeared as fixed,
 /// and adds the diff.* counters to the summary.
 void applyBaseline(BatchResult &R, const Baseline &B);
 

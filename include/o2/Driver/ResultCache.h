@@ -23,9 +23,10 @@
 ///
 /// An entry is the job's result in the wire format the worker pipe also
 /// uses (JobWire.h), behind an `o2cache <version> <checksum>` header line.
-/// Races are stored as the report renders them, each distinct rendering
-/// once, so a hit is copied into the report without being rendered or
-/// escaped again.
+/// Races are stored as the job holds them: each distinct race text once,
+/// as the report renders it, and each race as an index into those texts,
+/// so a hit is copied into the report without being rendered or escaped
+/// again.
 ///
 /// Robustness contract: a corrupt, truncated, version-skewed, or
 /// checksum-mismatched entry degrades to a cache miss, never an error —
@@ -49,6 +50,7 @@
 #include "o2/Driver/Driver.h"
 
 #include <string>
+#include <string_view>
 
 namespace o2 {
 
@@ -70,7 +72,11 @@ public:
   /// 3: each race carries its two accesses as the report's rendered JSON
   ///    (RaceRecord::Accesses) instead of six statement, function and
   ///    write fields; per-pass timings are one value per O2Phase.
-  static constexpr uint32_t FormatVersion = 3;
+  /// 4: each distinct race text (fingerprint, location, rendered report
+  ///    object, diff offset) once, then every race as a 4-byte index into
+  ///    them, instead of a fingerprint, location and accesses index per
+  ///    race.
+  static constexpr uint32_t FormatVersion = 4;
 
   /// Loads the entry for (ContentHash, ConfigFP) into \p Out. Returns
   /// false — and leaves \p Out untouched — on absence or any form of
@@ -84,6 +90,11 @@ public:
   /// optimization.
   void store(uint64_t ContentHash, uint64_t ConfigFP,
              const JobResult &R) const;
+
+  /// Same, for a caller that already holds \p R serialized in the wire
+  /// format (the isolated worker, which pipes the same bytes).
+  void store(uint64_t ContentHash, uint64_t ConfigFP, const JobResult &R,
+             std::string_view Payload) const;
 
 private:
   std::string entryPath(uint64_t ContentHash, uint64_t ConfigFP) const;

@@ -100,25 +100,10 @@ public:
     value(Val);
   }
 
-  /// Emits \p Members into the current object as they are: one or more
-  /// `"key":value` pairs, separated by commas, that an earlier JSONWriter
-  /// rendered (see membersOf).
-  void rawMembers(std::string_view Members) {
-    assert(!Stack.empty() && Stack.back().IsObject && !PendingKey &&
-           "members outside an object");
-    if (Members.empty())
-      return;
-    if (Stack.back().Count++)
-      OS << ',';
-    OS << Members;
-  }
-
-  /// The members of the single object \p Object holds, without its
-  /// braces: `{"a":1,"b":2}` -> `"a":1,"b":2`.
-  static std::string_view membersOf(std::string_view Object) {
-    assert(Object.size() >= 2 && Object.front() == '{' &&
-           Object.back() == '}' && "not one object");
-    return Object.substr(1, Object.size() - 2);
+  /// Emits \p Json, one value an earlier JSONWriter rendered, as it is.
+  void rawValue(std::string_view Json) {
+    prepareValue();
+    OS << Json;
   }
 
 private:

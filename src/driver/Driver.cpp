@@ -9,6 +9,7 @@
 #include "o2/Driver/Driver.h"
 
 #include "JobSteps.h"
+#include "JobWire.h"
 #include "o2/Driver/ResultCache.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Printer.h"
@@ -27,6 +28,7 @@
 #include <filesystem>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 
 using namespace o2;
@@ -81,7 +83,7 @@ int BatchResult::exitCode() const {
 // Race fingerprints
 //===----------------------------------------------------------------------===//
 
-static uint64_t fnv1a(std::string_view S, uint64_t H) {
+uint64_t job::fnv1a(std::string_view S, uint64_t H) {
   for (unsigned char C : S) {
     H ^= C;
     H *= 1099511628211ull;
@@ -89,7 +91,7 @@ static uint64_t fnv1a(std::string_view S, uint64_t H) {
   return H;
 }
 
-static std::string toHex16(uint64_t V) {
+std::string job::toHex16(uint64_t V) {
   static const char *Hex = "0123456789abcdef";
   std::string Out(16, '0');
   for (int I = 15; I >= 0; --I, V >>= 4)
@@ -126,11 +128,13 @@ static std::string stableLocation(const MemLoc &Loc, const PTAResult &PTA) {
 
 namespace {
 
-/// Renders each statement, each race location and each pair of race
-/// accesses once per job: a race-dense module reports the same few
-/// statements in hundreds of thousands of races.
+/// Renders each statement, each race location and each race text once per
+/// job: a race-dense module reports the same few statements in hundreds
+/// of thousands of races.
 class RecordRenderer {
 public:
+  explicit RecordRenderer(std::vector<RaceText> &Texts) : Texts(Texts) {}
+
   const std::string &stmt(const Stmt &S) {
     auto [It, Inserted] = Stmts.try_emplace(&S);
     if (Inserted)
@@ -138,33 +142,29 @@ public:
     return It->second;
   }
 
-  const std::string &location(const MemLoc &Loc, const PTAResult &PTA) {
-    auto [It, Inserted] = Locations.try_emplace(Loc.key());
-    if (Inserted)
-      It->second = stableLocation(Loc, PTA);
-    return It->second;
-  }
-
-  /// What every race between the same two accesses shares.
-  struct PairRecord {
-    /// The report's `"first":{…},"second":{…}` members.
-    std::shared_ptr<const std::string> Accesses;
-    /// The fingerprint's input after the location: the two access
-    /// descriptors in lexicographic order, each behind a 0x1f separator.
-    std::string FingerprintTail;
-  };
-
-  /// The shared part of the races between \p A and \p B: the only place
-  /// race accesses are rendered.
-  const PairRecord &pair(const Stmt &A, bool AIsWrite, const Stmt &B,
-                         bool BIsWrite) {
-    const Access *First = &access(A, AIsWrite);
-    const Access *Second = &access(B, BIsWrite);
-    auto [It, Inserted] = Pairs.try_emplace({First, Second});
+  /// The index in Texts of \p Rc's text, keyed on its location and its
+  /// two accesses and rendered on first use: the only place race texts
+  /// are rendered.
+  uint32_t race(const Race &Rc, const PTAResult &PTA) {
+    const Access *First = &access(*Rc.A, Rc.AIsWrite);
+    const Access *Second = &access(*Rc.B, Rc.BIsWrite);
+    auto [It, Inserted] = TextOf.try_emplace({Rc.Loc.key(), First, Second},
+                                             uint32_t(Texts.size()));
     if (!Inserted)
       return It->second;
-    Scratch.clear();
+    RaceText &T = Texts.emplace_back();
+    T.Location = location(Rc.Loc, PTA);
+    // Ordering the descriptors makes the fingerprint invariant under
+    // which access the detector happened to list first.
+    auto [Lo, Hi] = std::minmax(First->Desc, Second->Desc);
+    T.Fingerprint = job::toHex16(
+        job::fnv1a("\x1f" + Lo + "\x1f" + Hi, job::fnv1a(T.Location)));
+    StringOutputStream OS(T.Json);
+    JSONWriter W(OS);
     W.beginObject();
+    W.attribute("fingerprint", T.Fingerprint);
+    W.attribute("location", T.Location);
+    T.DiffAt = T.Json.size();
     for (auto [Key, Side] : {std::pair{"first", First}, {"second", Second}}) {
       W.key(Key);
       W.beginObject();
@@ -174,19 +174,13 @@ public:
       W.endObject();
     }
     W.endObject();
-    It->second.Accesses =
-        std::make_shared<const std::string>(JSONWriter::membersOf(Scratch));
-    // Ordering the descriptors makes the fingerprint invariant under
-    // which access the detector happened to list first.
-    auto [Lo, Hi] = std::minmax(First->Desc, Second->Desc);
-    It->second.FingerprintTail = "\x1f" + Lo + "\x1f" + Hi;
     return It->second;
   }
 
 private:
   /// One side of a race as the report shows it. Accesses with the same
   /// statement text, function name and kind — the same descriptor — share
-  /// one, so the races between them share one rendering.
+  /// one, so the races between them share one text.
   struct Access {
     std::string Stmt, Function;
     bool IsWrite;
@@ -205,54 +199,46 @@ private:
     return *A;
   }
 
-  using AccessPair = std::pair<const Access *, const Access *>;
-  struct AccessPairHash {
-    size_t operator()(const AccessPair &P) const {
-      return std::hash<const void *>()(P.first) * 0x9e3779b97f4a7c15ull ^
-             std::hash<const void *>()(P.second);
+  const std::string &location(const MemLoc &Loc, const PTAResult &PTA) {
+    auto [It, Inserted] = Locations.try_emplace(Loc.key());
+    if (Inserted)
+      It->second = stableLocation(Loc, PTA);
+    return It->second;
+  }
+
+  using TextKey = std::tuple<uint64_t, const Access *, const Access *>;
+  struct TextKeyHash {
+    size_t operator()(const TextKey &K) const {
+      size_t H = std::get<0>(K);
+      for (const void *P : {std::get<1>(K), std::get<2>(K)})
+        H = H * 0x9e3779b97f4a7c15ull ^ std::hash<const void *>()(P);
+      return H;
     }
   };
 
+  std::vector<RaceText> &Texts;
   std::unordered_map<const Stmt *, std::string> Stmts;
   std::unordered_map<uint64_t, std::string> Locations;
   std::unordered_map<const Stmt *, const Access *> ByStmt[2];
   std::unordered_map<std::string, Access> ByDesc;
-  std::unordered_map<AccessPair, PairRecord, AccessPairHash> Pairs;
-  // One top-level object per rendered pair; the writer and its buffer
-  // are reused.
-  std::string Scratch;
-  StringOutputStream ScratchOS{Scratch};
-  JSONWriter W{ScratchOS};
+  std::unordered_map<TextKey, uint32_t, TextKeyHash> TextOf;
 };
 
 } // namespace
-
-static RaceRecord makeRaceRecord(const Race &Rc, const PTAResult &PTA,
-                                 RecordRenderer &Render) {
-  const RecordRenderer::PairRecord &Pair =
-      Render.pair(*Rc.A, Rc.AIsWrite, *Rc.B, Rc.BIsWrite);
-  RaceRecord R;
-  R.Location = Render.location(Rc.Loc, PTA);
-  R.Accesses = Pair.Accesses;
-  // The fingerprint hashes the symbolic location plus the two access
-  // descriptors (statement text, function, R/W), so it is invariant under
-  // the statement-ID renumbering that reordering unrelated code causes.
-  R.Fingerprint =
-      toHex16(fnv1a(Pair.FingerprintTail,
-                    fnv1a(R.Location, 1469598103934665603ull)));
-  return R;
-}
 
 //===----------------------------------------------------------------------===//
 // Job execution
 //===----------------------------------------------------------------------===//
 
-static std::string readFileContent(const std::string &Path, bool &Ok) {
+std::string job::readFileContent(const std::string &Path, bool &Ok) {
   Ok = false;
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)
     return {};
   std::string Content;
+  std::error_code EC;
+  if (uintmax_t Size = std::filesystem::file_size(Path, EC); !EC)
+    Content.reserve(size_t(Size));
   char Buf[64 * 1024];
   for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
     Content.append(Buf, N);
@@ -316,7 +302,7 @@ bool job::lookup(const JobSpec &Spec, const BatchOptions &Opts, Input &In,
       In.Source = Spec.Source;
       if (In.Source.empty() && !Spec.Path.empty()) {
         bool Read = false;
-        In.Source = readFileContent(Spec.Path, Read);
+        In.Source = job::readFileContent(Spec.Path, Read);
         if (!Read) {
           R.Status = JobStatus::ParseError;
           R.Error = "cannot read '" + Spec.Path + "'";
@@ -357,7 +343,7 @@ bool job::lookup(const JobSpec &Spec, const BatchOptions &Opts, Input &In,
 }
 
 void job::analyze(const JobSpec &Spec, const BatchOptions &Opts, Input &In,
-                  ThreadPool *SharedPool, JobResult &R) {
+                  ThreadPool *SharedPool, JobResult &R, std::string *Wire) {
   StageTracker Stage{Opts};
 
   // Hoisted out of the body so a failure can still harvest partial
@@ -429,11 +415,11 @@ void job::analyze(const JobSpec &Spec, const BatchOptions &Opts, Input &In,
     AM->run(Opts.Analyses);
     Harvest();
 
-    RecordRenderer Render;
+    RecordRenderer Render(R.RaceTexts);
     if (AM->ran(O2Phase::Detect)) {
       R.Races.reserve(AM->getRaces().races().size());
       for (const Race &Rc : AM->getRaces().races())
-        R.Races.push_back(makeRaceRecord(Rc, AM->getPTA(), Render));
+        R.Races.push_back({Render.race(Rc, AM->getPTA())});
     }
     if (AM->ran(O2Phase::Deadlock))
       for (const DeadlockCycle &C : AM->getDeadlocks().cycles()) {
@@ -480,15 +466,22 @@ void job::analyze(const JobSpec &Spec, const BatchOptions &Opts, Input &In,
       R.Phase = phaseName(AM->cancelledIn());
     } else {
       R.Status = R.Races.empty() ? JobStatus::Clean : JobStatus::Races;
-      // Only settled results are worth replaying; timeouts and errors
-      // must re-run on the next fleet (store() also refuses anything
-      // else, including degraded results).
-      if (In.HaveKey)
-        ResultCache(Opts.CacheDir).store(In.ContentHash, In.ConfigFP, R);
     }
   });
   if (!Ok)
     Harvest();
+
+  // Only settled results are worth replaying: store() refuses timeouts,
+  // errors and degraded results, which must re-run on the next fleet.
+  if (Wire)
+    *Wire = wire::serializeJobResult(R);
+  if (!In.HaveKey)
+    return;
+  ResultCache Cache(Opts.CacheDir);
+  if (Wire)
+    Cache.store(In.ContentHash, In.ConfigFP, R, *Wire);
+  else
+    Cache.store(In.ContentHash, In.ConfigFP, R);
 }
 
 JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
@@ -697,15 +690,17 @@ void o2::applyBaseline(BatchResult &R, const Baseline &B) {
     auto It = B.find(J.Name);
     const std::set<std::string> *Base = It == B.end() ? nullptr : &It->second;
     std::set<std::string> Current;
+    // Races of one text share its fingerprint: classify each text once.
+    std::vector<RaceDiff> DiffOf(J.RaceTexts.size(), RaceDiff::None);
     for (RaceRecord &Rc : J.Races) {
-      Current.insert(Rc.Fingerprint);
-      if (Base && Base->count(Rc.Fingerprint)) {
-        Rc.DiffStatus = "unchanged";
-        ++NumUnchanged;
-      } else {
-        Rc.DiffStatus = "new";
-        ++NumNew;
+      RaceDiff &D = DiffOf[Rc.Text];
+      if (D == RaceDiff::None) {
+        const std::string &FP = J.text(Rc).Fingerprint;
+        Current.insert(FP);
+        D = Base && Base->count(FP) ? RaceDiff::Unchanged : RaceDiff::New;
       }
+      Rc.Diff = D;
+      ++(D == RaceDiff::New ? NumNew : NumUnchanged);
     }
     J.FixedRaces.clear();
     if (Base)
@@ -741,7 +736,7 @@ void o2::printJSONL(const BatchResult &R, OutputStream &OS,
       W.attribute("signal", J.Signal);
     if (J.Degraded) {
       W.attribute("degraded", true);
-      W.attribute("degraded-config", toHex16(J.DegradedConfigFP));
+      W.attribute("degraded-config", job::toHex16(J.DegradedConfigFP));
     }
     if (J.Retries)
       W.attribute("retries", uint64_t(J.Retries));
@@ -755,13 +750,17 @@ void o2::printJSONL(const BatchResult &R, OutputStream &OS,
     W.key("races");
     W.beginArray();
     for (const RaceRecord &Rc : J.Races) {
-      W.beginObject();
-      W.attribute("fingerprint", Rc.Fingerprint);
-      W.attribute("location", Rc.Location);
-      if (!Rc.DiffStatus.empty())
-        W.attribute("diff", Rc.DiffStatus);
-      W.rawMembers(Rc.accesses());
-      W.endObject();
+      const RaceText &T = J.text(Rc);
+      if (Rc.Diff == RaceDiff::None) {
+        W.rawValue(T.Json);
+        continue;
+      }
+      // The diff member goes between location and first.
+      std::string_view Json = T.Json;
+      W.rawValue(Json.substr(0, T.DiffAt));
+      OS << (Rc.Diff == RaceDiff::New ? ",\"diff\":\"new\""
+                                      : ",\"diff\":\"unchanged\"")
+         << Json.substr(T.DiffAt);
     }
     W.endArray();
     if (J.Analyses.contains(O2Phase::Deadlock)) {
@@ -1157,7 +1156,7 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
 
   if (!BaselinePath.empty()) {
     bool Ok = false;
-    std::string Content = readFileContent(BaselinePath, Ok);
+    std::string Content = job::readFileContent(BaselinePath, Ok);
     if (!Ok) {
       errs() << "o2batch: cannot read baseline '" << BaselinePath << "'\n";
       return ExitError;

@@ -145,9 +145,11 @@ bool writeAll(int Fd, const char *Data, size_t Len) {
 
   int Exit = 0;
   try {
-    job::analyze(Spec, WorkerOpts, In, nullptr, R);
-    std::string Msg = "r:" + wire::serializeJobResult(R);
-    if (!writeAll(WriteFd, Msg.data(), Msg.size()))
+    // Serialized once: the store and the pipe get the same bytes.
+    std::string Payload;
+    job::analyze(Spec, WorkerOpts, In, nullptr, R, &Payload);
+    if (!writeAll(WriteFd, "r:", 2) ||
+        !writeAll(WriteFd, Payload.data(), Payload.size()))
       Exit = 3;
   } catch (...) {
     // The analyze step contains its own failures; reaching here means

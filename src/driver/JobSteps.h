@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 namespace o2 {
 namespace job {
@@ -54,8 +55,21 @@ bool lookup(const JobSpec &Spec, const BatchOptions &Opts, Input &In,
 
 /// The analyze step, on a job whose lookup step returned false. Lends
 /// \p SharedPool to the race engine unless the configuration names one.
+/// A non-null \p Wire receives \p R serialized (JobWire.h); the store
+/// writes those same bytes.
 void analyze(const JobSpec &Spec, const BatchOptions &Opts, Input &In,
-             ThreadPool *SharedPool, JobResult &R);
+             ThreadPool *SharedPool, JobResult &R,
+             std::string *Wire = nullptr);
+
+/// Reads all of \p Path into one allocation of the file's size; \p Ok
+/// tells whether it could.
+std::string readFileContent(const std::string &Path, bool &Ok);
+
+/// FNV-1a of \p S, continuing from \p H.
+uint64_t fnv1a(std::string_view S, uint64_t H = 1469598103934665603ull);
+
+/// \p V as 16 lowercase hex digits.
+std::string toHex16(uint64_t V);
 
 } // namespace job
 } // namespace o2

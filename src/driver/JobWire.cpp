@@ -10,9 +10,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <memory>
-#include <unordered_map>
-#include <vector>
 
 using namespace o2;
 
@@ -130,22 +127,20 @@ std::string wire::serializeJobResult(const JobResult &R) {
     W.putU64(Value);
   }
 
-  // Races of one pair of accesses share its rendering: each distinct
-  // rendering is written once, and races refer to it by index.
-  std::unordered_map<const std::string *, uint64_t> Index;
-  std::vector<std::string_view> Distinct;
-  for (const RaceRecord &Rc : R.Races)
-    if (Index.try_emplace(Rc.Accesses.get(), Distinct.size()).second)
-      Distinct.push_back(Rc.accesses());
-  W.putU64(Distinct.size());
-  for (std::string_view A : Distinct)
-    W.put(A);
-  W.putU64(R.Races.size());
-  for (const RaceRecord &Rc : R.Races) {
-    W.put(Rc.Fingerprint);
-    W.put(Rc.Location);
-    W.putU64(Index[Rc.Accesses.get()]);
+  W.putU64(R.RaceTexts.size());
+  for (const RaceText &T : R.RaceTexts) {
+    W.put(T.Fingerprint);
+    W.put(T.Location);
+    W.put(T.Json);
+    W.putU64(T.DiffAt);
   }
+  // One field for all races: each race's text index, 4 bytes little-endian.
+  std::string Indices;
+  Indices.reserve(4 * R.Races.size());
+  for (const RaceRecord &Rc : R.Races)
+    for (unsigned Shift = 0; Shift < 32; Shift += 8)
+      Indices += char(Rc.Text >> Shift);
+  W.put(Indices);
 
   W.putU64(R.Deadlocks.size());
   for (const DeadlockRecord &D : R.Deadlocks) {
@@ -215,22 +210,22 @@ bool wire::deserializeJobResult(std::string_view Payload, JobResult &R) {
 
   if (!Rd.getCount(N))
     return false;
-  std::vector<std::shared_ptr<const std::string>> Accesses(N);
-  for (auto &A : Accesses) {
-    std::string Bytes;
-    if (!Rd.get(Bytes))
+  R.RaceTexts.resize(N);
+  for (RaceText &T : R.RaceTexts)
+    if (!Rd.get(T.Fingerprint) || !Rd.get(T.Location) || !Rd.get(T.Json) ||
+        !Rd.getNumber(T.DiffAt) || T.DiffAt >= T.Json.size())
       return false;
-    A = std::make_shared<const std::string>(std::move(Bytes));
-  }
-  if (!Rd.getCount(N))
+  std::string_view Indices;
+  if (!Rd.get(Indices) || Indices.size() % 4)
     return false;
-  R.Races.resize(N);
-  for (RaceRecord &Rc : R.Races) {
-    uint64_t A = 0;
-    if (!Rd.get(Rc.Fingerprint) || !Rd.get(Rc.Location) ||
-        !Rd.getNumber(A) || A >= Accesses.size())
+  R.Races.resize(Indices.size() / 4);
+  for (size_t I = 0; I < R.Races.size(); ++I) {
+    uint32_t Text = 0;
+    for (unsigned B = 0; B < 4; ++B)
+      Text |= uint32_t(uint8_t(Indices[4 * I + B])) << (8 * B);
+    if (Text >= R.RaceTexts.size())
       return false;
-    Rc.Accesses = Accesses[A];
+    R.Races[I].Text = Text;
   }
 
   if (!Rd.getCount(N))

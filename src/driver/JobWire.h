@@ -20,10 +20,12 @@
 /// in the consumers: the cache refuses to store or replay anything but
 /// Clean/Races.
 ///
-/// Races carry their accesses as the report renders them
-/// (RaceRecord::Accesses). Each distinct rendering is written once, and
-/// each race refers to it by index, so the decoded races share them just
-/// as the job's own records did.
+/// Races are written as the job holds them: each distinct race text
+/// (RaceText: fingerprint, location, the rendered report object and its
+/// diff offset) once, then one field holding every race's text index as
+/// 4 little-endian bytes. The decoded races share their texts just as
+/// the job's own records did, and the report copies those bytes as they
+/// were rendered.
 ///
 /// Internal to o2Driver — not installed under include/.
 ///

@@ -8,6 +8,7 @@
 
 #include "o2/Driver/ResultCache.h"
 
+#include "JobSteps.h"
 #include "JobWire.h"
 #include "o2/Support/FaultInjector.h"
 
@@ -17,41 +18,20 @@
 #include <string_view>
 
 using namespace o2;
+using job::fnv1a;
+using job::toHex16;
 
 namespace {
 
-uint64_t fnv1a(std::string_view S, uint64_t H = 1469598103934665603ull) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
-std::string toHex16(uint64_t V) {
-  static const char *Hex = "0123456789abcdef";
-  std::string Out(16, '0');
-  for (int I = 15; I >= 0; --I, V >>= 4)
-    Out[size_t(I)] = Hex[V & 0xf];
-  return Out;
-}
-
-/// Reads all of \p Path into one allocation of the file's size.
-std::string readFile(const std::string &Path, bool &Ok) {
-  Ok = false;
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return {};
-  std::string Content;
-  std::error_code EC;
-  if (uintmax_t Size = std::filesystem::file_size(Path, EC); !EC)
-    Content.reserve(size_t(Size));
-  char Buf[64 * 1024];
-  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
-    Content.append(Buf, N);
-  Ok = !std::ferror(F);
-  std::fclose(F);
-  return Content;
+/// Only settled results from the requested configuration are worth
+/// replaying.
+bool storable(const JobResult &R) {
+  // Never cache anything that must re-run: timeouts and errors (the
+  // pre-existing rule), crash records, and degraded-fallback results —
+  // a degraded answer is sound but cheaper than the requested config,
+  // and replaying it would silently pin the degradation forever.
+  return (R.Status == JobStatus::Clean || R.Status == JobStatus::Races) &&
+         !R.Degraded;
 }
 
 } // namespace
@@ -74,7 +54,8 @@ bool ResultCache::lookup(uint64_t ContentHash, uint64_t ConfigFP,
   try {
     FaultInjector::hit("cache.read");
     bool Ok = false;
-    std::string Content = readFile(entryPath(ContentHash, ConfigFP), Ok);
+    std::string Content =
+        job::readFileContent(entryPath(ContentHash, ConfigFP), Ok);
     if (!Ok)
       return false;
 
@@ -99,8 +80,7 @@ bool ResultCache::lookup(uint64_t ContentHash, uint64_t ConfigFP,
     // The wire format carries every status (the worker pipe needs that);
     // the cache's contract is narrower. A foreign or hand-edited entry
     // holding a non-terminal or degraded result is damage: miss.
-    if ((R.Status != JobStatus::Clean && R.Status != JobStatus::Races) ||
-        R.Degraded)
+    if (!storable(R))
       return false;
     Out = std::move(R);
     return true;
@@ -111,14 +91,17 @@ bool ResultCache::lookup(uint64_t ContentHash, uint64_t ConfigFP,
 
 void ResultCache::store(uint64_t ContentHash, uint64_t ConfigFP,
                         const JobResult &R) const {
-  if (!enabled())
+  if (!enabled() || !storable(R))
     return;
-  // Never cache anything that must re-run: timeouts and errors (the
-  // pre-existing rule), crash records, and degraded-fallback results —
-  // a degraded answer is sound but cheaper than the requested config,
-  // and replaying it would silently pin the degradation forever.
-  if ((R.Status != JobStatus::Clean && R.Status != JobStatus::Races) ||
-      R.Degraded)
+  try {
+    store(ContentHash, ConfigFP, R, wire::serializeJobResult(R));
+  } catch (...) {
+  }
+}
+
+void ResultCache::store(uint64_t ContentHash, uint64_t ConfigFP,
+                        const JobResult &R, std::string_view Payload) const {
+  if (!enabled() || !storable(R))
     return;
   // The cache is an optimization: IO failures and injected cache.write
   // faults are swallowed, the job's result is already in hand.
@@ -127,7 +110,6 @@ void ResultCache::store(uint64_t ContentHash, uint64_t ConfigFP,
     std::error_code EC;
     std::filesystem::create_directories(Dir, EC);
 
-    std::string Payload = wire::serializeJobResult(R);
     std::string Header = "o2cache " + std::to_string(FormatVersion) + " " +
                          toHex16(fnv1a(Payload)) + "\n";
 

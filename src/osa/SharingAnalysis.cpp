@@ -77,7 +77,7 @@ private:
   /// Records one base-pointer access: the location per pointed-to object.
   void recordFieldAccess(const Stmt &S, const Variable *Base, FieldKey FK,
                          unsigned Origin, bool IsWrite, Ctx C) {
-    AccessStmts.insert(S.getId());
+    AccessStmts.push_back(S.getId());
     const SparseBitVector *Pts = PTA.pts(Base, C);
     if (!Pts)
       return;
@@ -108,12 +108,12 @@ private:
                         Origin, /*IsWrite=*/true, C);
       return;
     case Stmt::SK_GlobalLoad:
-      AccessStmts.insert(S.getId());
+      AccessStmts.push_back(S.getId());
       recordAccess(S, MemLoc::global(cast<GlobalLoadStmt>(S).getGlobal()->getId()),
                    Origin, /*IsWrite=*/false);
       return;
     case Stmt::SK_GlobalStore:
-      AccessStmts.insert(S.getId());
+      AccessStmts.push_back(S.getId());
       recordAccess(S,
                    MemLoc::global(cast<GlobalStoreStmt>(S).getGlobal()->getId()),
                    Origin, /*IsWrite=*/true);
@@ -133,7 +133,10 @@ private:
       }
     std::sort(R.Shared.begin(), R.Shared.end());
     R.NumSharedObjects = static_cast<unsigned>(SharedObjs.size());
-    R.NumAccessStmts = static_cast<unsigned>(AccessStmts.size());
+    std::sort(AccessStmts.begin(), AccessStmts.end());
+    R.NumAccessStmts = static_cast<unsigned>(
+        std::unique(AccessStmts.begin(), AccessStmts.end()) -
+        AccessStmts.begin());
     std::sort(StmtLocs.begin(), StmtLocs.end());
     StmtLocs.erase(std::unique(StmtLocs.begin(), StmtLocs.end()),
                    StmtLocs.end());
@@ -155,7 +158,9 @@ private:
   /// (statement ID, location) per recorded access; sorted and
   /// deduplicated once in finalize.
   std::vector<std::pair<unsigned, MemLoc>> StmtLocs;
-  std::set<unsigned> AccessStmts;
+  /// ID of each access statement visited, per visit; sorted and
+  /// deduplicated once in finalize.
+  std::vector<unsigned> AccessStmts;
 };
 
 } // namespace o2

@@ -342,7 +342,7 @@ private:
 
   unsigned varNode(const Variable *V, Ctx C) {
     uint64_t Key = (uint64_t(V->getId()) << 32) | C;
-    auto [It, Inserted] = R->VarNodes.emplace(Key, 0);
+    auto [It, Inserted] = R->VarNodes.try_emplace(Key, 0);
     if (Inserted)
       It->second = newNode();
     return It->second;
@@ -357,7 +357,7 @@ private:
 
   unsigned fieldNode(unsigned Obj, FieldKey FK) {
     uint64_t Key = (uint64_t(Obj) << 32) | FK;
-    auto [It, Inserted] = R->FieldNodes.emplace(Key, 0);
+    auto [It, Inserted] = R->FieldNodes.try_emplace(Key, 0);
     if (Inserted)
       It->second = newNode();
     return It->second;
@@ -366,7 +366,7 @@ private:
   unsigned objectFor(unsigned Site, Ctx HCtx, unsigned Dup, const Type *Ty,
                      const Stmt *AllocS) {
     uint64_t Key = (uint64_t(Site) << 34) | (uint64_t(Dup) << 32) | HCtx;
-    auto [It, Inserted] = ObjMap.emplace(Key, 0);
+    auto [It, Inserted] = ObjMap.try_emplace(Key, 0);
     if (Inserted) {
       ObjInfo Info;
       Info.Id = static_cast<unsigned>(R->Objects.size());
@@ -775,7 +775,7 @@ private:
   }
 
   const std::vector<const ReturnStmt *> &returnsOf(const Function *F) {
-    auto [It, Inserted] = ReturnsOf.emplace(F, std::vector<const ReturnStmt *>());
+    auto [It, Inserted] = ReturnsOf.try_emplace(F);
     if (Inserted)
       for (const auto &S : F->body())
         if (const auto *Ret = dyn_cast<ReturnStmt>(S.get()))

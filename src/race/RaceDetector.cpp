@@ -391,7 +391,7 @@ void processLocation(EngineState &S, size_t LocIdx, LocksetLookup &Locksets) {
     unsigned Seg = HBI.segmentOf(E->Thread, E->Pos);
     ClassKey Key{(uint64_t(E->Thread) << 32) | Seg,
                  (uint64_t(E->Lockset) << 1) | E->IsWrite};
-    auto [It, New] = ByKey.emplace(Key, Classes.size());
+    auto [It, New] = ByKey.try_emplace(Key, Classes.size());
     if (New) {
       AccessClass C;
       C.Thread = E->Thread;
@@ -446,8 +446,8 @@ void processLocation(EngineState &S, size_t LocIdx, LocksetLookup &Locksets) {
             break;
           uint64_t Rank = (uint64_t(A.Idx[RankA]) << 32) | B.Idx[RankB];
           uint64_t Key = stmtPairKey(EA->S, EB->S);
-          auto [It, New] = Wanted.emplace(
-              Key, PendingRace{Rank, Key, Race{}});
+          auto [It, New] =
+              Wanted.try_emplace(Key, PendingRace{Rank, Key, Race{}});
           if (New || Rank < It->second.Rank) {
             It->second.Rank = Rank;
             It->second.Rc = makeRace(Loc, *EA, *EB);

@@ -108,7 +108,7 @@ TEST(DriverTest, StatusClassification) {
       << R.Jobs[2].Error;
   EXPECT_EQ(R.Jobs[3].Status, JobStatus::Races);
   EXPECT_EQ(R.Jobs[3].Races.size(), 1u);
-  EXPECT_EQ(R.Jobs[3].Races[0].Location, "@g");
+  EXPECT_EQ(R.Jobs[3].text(R.Jobs[3].Races[0]).Location, "@g");
 
   EXPECT_EQ(R.Summary.get("jobs.total"), 4u);
   EXPECT_EQ(R.Summary.get("jobs.clean"), 1u);
@@ -284,10 +284,11 @@ TEST(DriverTest, BaselineDiffWithReorderStableFingerprints) {
   ASSERT_EQ(Before.Jobs[0].Races.size(), 2u);
   std::string FPA, FPB;
   for (const RaceRecord &Rc : Before.Jobs[0].Races) {
-    if (Rc.Location == "@a")
-      FPA = Rc.Fingerprint;
-    if (Rc.Location == "@b")
-      FPB = Rc.Fingerprint;
+    const RaceText &T = Before.Jobs[0].text(Rc);
+    if (T.Location == "@a")
+      FPA = T.Fingerprint;
+    if (T.Location == "@b")
+      FPB = T.Fingerprint;
   }
   ASSERT_FALSE(FPA.empty());
   ASSERT_FALSE(FPB.empty());
@@ -305,13 +306,14 @@ TEST(DriverTest, BaselineDiffWithReorderStableFingerprints) {
   applyBaseline(After, Base);
 
   for (const RaceRecord &Rc : After.Jobs[0].Races) {
-    if (Rc.Location == "@a") {
+    const RaceText &T = After.Jobs[0].text(Rc);
+    if (T.Location == "@a") {
       // Same accesses despite all the unrelated churn: unchanged.
-      EXPECT_EQ(Rc.Fingerprint, FPA);
-      EXPECT_EQ(Rc.DiffStatus, "unchanged");
+      EXPECT_EQ(T.Fingerprint, FPA);
+      EXPECT_EQ(Rc.Diff, RaceDiff::Unchanged);
     } else {
-      EXPECT_EQ(Rc.Location, "@c");
-      EXPECT_EQ(Rc.DiffStatus, "new");
+      EXPECT_EQ(T.Location, "@c");
+      EXPECT_EQ(Rc.Diff, RaceDiff::New);
     }
   }
   ASSERT_EQ(After.Jobs[0].FixedRaces.size(), 1u);
@@ -504,6 +506,133 @@ TEST(DriverTest, VersionTwoCacheEntriesMiss) {
   BatchResult Healed = runBatch(Specs, Opts);
   EXPECT_EQ(Healed.CacheHits, 1u);
   EXPECT_EQ(renderJSONL(Healed), Golden);
+}
+
+TEST(DriverTest, VersionThreeCacheEntriesMiss) {
+  std::vector<JobSpec> Specs = {sourceSpec("racy", RacyProgram)};
+  BatchOptions Opts;
+  Opts.CacheDir = freshCacheDir("version3");
+  std::string Golden = renderJSONL(runBatch(Specs, Opts));
+
+  // A well-formed version-3 entry for the job's one race: status, phase,
+  // error, signal, degraded, fallback fingerprint, retries, cache
+  // outcome, one timing per phase, no counters, one rendered pair of
+  // accesses, one race as fingerprint, location and accesses index, then
+  // empty deadlock, oversync and racerd lists — under a header whose
+  // checksum matches.
+  std::string Payload = "5:races,0:,0:,0:,1:0,1:0,1:0,1:0,";
+  for (unsigned I = 0; I < NumO2Phases; ++I)
+    Payload += "1:0,";
+  std::string Accesses = "\"first\":{},\"second\":{}";
+  Payload += "1:0,1:1," + std::to_string(Accesses.size()) + ":" + Accesses +
+             ",1:1,16:0123456789abcdef,2:@g,1:0,1:0,1:0,1:0,";
+  char Header[64];
+  std::snprintf(Header, sizeof(Header), "o2cache 3 %016llx\n",
+                static_cast<unsigned long long>(fnv1a(Payload)));
+  size_t Entries = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Opts.CacheDir)) {
+    std::ofstream Out(E.path(), std::ios::trunc | std::ios::binary);
+    Out << Header << Payload;
+    ++Entries;
+  }
+  ASSERT_EQ(Entries, 1u);
+
+  BatchResult Old = runBatch(Specs, Opts);
+  EXPECT_EQ(Old.CacheHits, 0u);
+  EXPECT_EQ(Old.CacheMisses, 1u);
+  EXPECT_EQ(renderJSONL(Old), Golden);
+
+  // The re-run replaced the entry with the current version.
+  BatchResult Healed = runBatch(Specs, Opts);
+  EXPECT_EQ(Healed.CacheHits, 1u);
+  EXPECT_EQ(renderJSONL(Healed), Golden);
+}
+
+// The detector reports each statement pair once, so races share a text
+// through statements with the same text. The two `@g = x` in T.run race
+// with each other across two T threads and with main's read: several
+// races per text. The `o.f = x` of T.run and of U.run race on two
+// objects: one pair of accesses at two locations.
+const char *SharedTextProgram = R"(
+  class Obj { field f: int; }
+  class T {
+    method run() { var x: int; var o: Obj; @g = x; @g = x; o = @ga; o.f = x; }
+  }
+  class U {
+    method run() { var x: int; var o: Obj; o = @gb; o.f = x; }
+  }
+  global g: int;
+  global ga: Obj;
+  global gb: Obj;
+  func main() {
+    var t: T;
+    var u: U;
+    var a: Obj;
+    var b: Obj;
+    var x: int;
+    a = new Obj;
+    @ga = a;
+    b = new Obj;
+    @gb = b;
+    t = new T;
+    spawn t.run();
+    t = new T;
+    spawn t.run();
+    u = new U;
+    spawn u.run();
+    u = new U;
+    spawn u.run();
+    x = @g;
+  }
+)";
+
+TEST(DriverTest, RacesShareOneTextPerLocationAndAccessPair) {
+  BatchResult R = runBatch({sourceSpec("m", SharedTextProgram)});
+  ASSERT_EQ(R.Jobs.size(), 1u);
+  const JobResult &J = R.Jobs[0];
+  ASSERT_EQ(J.Races.size(), 7u);
+  EXPECT_EQ(J.RaceTexts.size(), 4u);
+  auto Accesses = [&J](const RaceRecord &Rc) {
+    return std::string_view(J.text(Rc).Json).substr(J.text(Rc).DiffAt);
+  };
+  // Two races share a text exactly when their locations and their two
+  // accesses match.
+  bool SameLocationOtherPair = false, SamePairOtherLocation = false;
+  for (const RaceRecord &A : J.Races)
+    for (const RaceRecord &B : J.Races) {
+      bool SameLocation = J.text(A).Location == J.text(B).Location;
+      bool SamePair = Accesses(A) == Accesses(B);
+      EXPECT_EQ(A.Text == B.Text, SameLocation && SamePair);
+      SameLocationOtherPair |= SameLocation && !SamePair;
+      SamePairOtherLocation |= SamePair && !SameLocation;
+    }
+  EXPECT_TRUE(SameLocationOtherPair);
+  EXPECT_TRUE(SamePairOtherLocation);
+
+  // Every race is still reported in full.
+  std::string Report = renderJSONL(R);
+  size_t Objects = 0;
+  for (size_t P = Report.find("{\"fingerprint\":"); P != std::string::npos;
+       P = Report.find("{\"fingerprint\":", P + 1))
+    ++Objects;
+  EXPECT_EQ(Objects, 7u);
+}
+
+TEST(DriverTest, BaselineDiffGoesBetweenLocationAndFirst) {
+  BatchResult R = runBatch({sourceSpec("racy", RacyProgram)});
+  ASSERT_EQ(R.Jobs[0].Races.size(), 1u);
+  const std::string FP = R.Jobs[0].text(R.Jobs[0].Races[0]).Fingerprint;
+  for (const char *Status : {"unchanged", "new"}) {
+    Baseline Base;
+    Base["racy"] = {std::string(Status) == "new" ? "00000000deadbeef" : FP};
+    applyBaseline(R, Base);
+    std::string Report = renderJSONL(R);
+    EXPECT_NE(Report.find("\"races\":[{\"fingerprint\":\"" + FP +
+                          "\",\"location\":\"@g\",\"diff\":\"" + Status +
+                          "\",\"first\":{\"stmt\":\"@g = x\""),
+              std::string::npos)
+        << Report;
+  }
 }
 
 TEST(DriverTest, TotalMsIncludesAuxAnalyses) {
@@ -1091,7 +1220,8 @@ TEST(DriverTest, WarmIsolatedRunMatchesColdInProcessRun) {
   ASSERT_EQ(Cold.Jobs[1].Name, "locked");
   ASSERT_GT(Cold.Jobs[1].Races.size(), 1u);
   Baseline Base;
-  Base["locked"] = {Cold.Jobs[1].Races[0].Fingerprint, "00000000deadbeef"};
+  Base["locked"] = {Cold.Jobs[1].text(Cold.Jobs[1].Races[0]).Fingerprint,
+                    "00000000deadbeef"};
 
   Opts.Isolate = IsolationMode::Process;
   for (unsigned Jobs : {1u, 4u}) {
@@ -1119,41 +1249,44 @@ TEST(DriverTest, WarmIsolatedRunMatchesColdInProcessRun) {
             std::string::npos);
 }
 
+/// A race text as the report renders one: \p Stmt is both accesses'
+/// statement.
+RaceText raceText(std::string Location, const std::string &Stmt) {
+  RaceText T;
+  T.Fingerprint = "0123456789abcdef";
+  T.Location = std::move(Location);
+  StringOutputStream OS(T.Json);
+  JSONWriter W(OS);
+  W.beginObject();
+  W.attribute("fingerprint", T.Fingerprint);
+  W.attribute("location", T.Location);
+  T.DiffAt = T.Json.size();
+  for (const char *Side : {"first", "second"}) {
+    W.key(Side);
+    W.beginObject();
+    W.attribute("stmt", Stmt);
+    W.attribute("function", "run");
+    W.attribute("write", true);
+    W.endObject();
+  }
+  W.endObject();
+  return T;
+}
+
 TEST(DriverTest, JobWireRoundTripsRenderedRaces) {
   // A statement with a quote, a backslash, a control character and a
   // byte >= 0x80, rendered as the report renders race accesses.
   const std::string Stmt = "x = \"q\\\x01\xc3\xa9\"";
-  std::string Object;
-  {
-    StringOutputStream OS(Object);
-    JSONWriter W(OS);
-    W.beginObject();
-    for (const char *Side : {"first", "second"}) {
-      W.key(Side);
-      W.beginObject();
-      W.attribute("stmt", Stmt);
-      W.attribute("function", "run");
-      W.attribute("write", true);
-      W.endObject();
-    }
-    W.endObject();
-  }
-  auto Shared = std::make_shared<const std::string>(
-      JSONWriter::membersOf(Object));
-  auto Other = std::make_shared<const std::string>("\"first\":{}");
 
   JobResult R;
   R.Status = JobStatus::Races;
   R.PhaseMs[size_t(O2Phase::PTA)] = 0.1;
   R.PhaseMs[size_t(O2Phase::Escape)] = 1e-300;
   R.Stats.set("race.races", 3);
-  // Locations are raw text: they may hold any byte.
-  for (const char *Loc : {"@g", "T@run:\x01\xff\"\\", "@h"}) {
-    RaceRecord &Rc = R.Races.emplace_back();
-    Rc.Fingerprint = "0123456789abcdef";
-    Rc.Location = Loc;
-    Rc.Accesses = R.Races.size() == 2 ? Other : Shared;
-  }
+  // Locations are raw text: they may hold any byte. The first and last
+  // race share one text.
+  R.RaceTexts = {raceText("T@run:\x01\xff\"\\", Stmt), raceText("@g", "x")};
+  R.Races = {{0}, {1}, {0}};
   std::string Payload = wire::serializeJobResult(R);
 
   JobResult Back;
@@ -1163,13 +1296,17 @@ TEST(DriverTest, JobWireRoundTripsRenderedRaces) {
   EXPECT_EQ(Back.Stats.counters(), R.Stats.counters());
   ASSERT_EQ(Back.Races.size(), 3u);
   for (size_t I = 0; I < 3; ++I) {
-    EXPECT_EQ(Back.Races[I].Fingerprint, R.Races[I].Fingerprint);
-    EXPECT_EQ(Back.Races[I].Location, R.Races[I].Location);
-    EXPECT_EQ(Back.Races[I].accesses(), R.Races[I].accesses());
+    const RaceText &Got = Back.text(Back.Races[I]);
+    const RaceText &Want = R.text(R.Races[I]);
+    EXPECT_EQ(Got.Fingerprint, Want.Fingerprint);
+    EXPECT_EQ(Got.Location, Want.Location);
+    EXPECT_EQ(Got.Json, Want.Json);
+    EXPECT_EQ(Got.DiffAt, Want.DiffAt);
   }
-  // Races that shared one rendering still do.
-  EXPECT_EQ(Back.Races[0].Accesses, Back.Races[2].Accesses);
-  EXPECT_NE(Back.Races[0].Accesses, Back.Races[1].Accesses);
+  // Races that shared one text still do.
+  EXPECT_EQ(Back.Races[0].Text, Back.Races[2].Text);
+  EXPECT_NE(Back.Races[0].Text, Back.Races[1].Text);
+  EXPECT_EQ(Back.RaceTexts.size(), 2u);
 
   // The report prints the bytes as they were rendered.
   BatchResult Before, After;
@@ -1179,6 +1316,14 @@ TEST(DriverTest, JobWireRoundTripsRenderedRaces) {
   EXPECT_EQ(Report, renderJSONL(Before));
   EXPECT_NE(Report.find("\"stmt\":\"x = \\\"q\\\\\\u0001\xc3\xa9\\\"\""),
             std::string::npos);
+  EXPECT_NE(Report.find("\"location\":\"T@run:\\u0001\xff\\\"\\\\\""),
+            std::string::npos);
+
+  // A race pointing past the texts is damage.
+  JobResult Bad = R, Damaged;
+  Bad.Races[1].Text = 2;
+  EXPECT_FALSE(
+      wire::deserializeJobResult(wire::serializeJobResult(Bad), Damaged));
 
   // Every truncation fails.
   for (size_t Len = 0; Len < Payload.size(); ++Len) {

@@ -147,28 +147,31 @@ TEST(JSONWriterTest, EveryByteEscapesLikeThePerCharacterRule) {
   EXPECT_EQ(renderString(All), Expected);
 }
 
-TEST(JSONWriterTest, RawMembersJoinTheObjectAsRendered) {
-  // Members rendered by one writer, copied into another's object.
+TEST(JSONWriterTest, RawValuesJoinTheArrayAsRendered) {
+  // A value rendered by one writer, copied into another's array.
   std::string Object = render([](JSONWriter &W) {
     W.beginObject();
     W.attribute("a", "x\"y");
     W.attribute("b", true);
     W.endObject();
   });
-  EXPECT_EQ(JSONWriter::membersOf(Object), "\"a\":\"x\\\"y\",\"b\":true");
+  EXPECT_EQ(Object, "{\"a\":\"x\\\"y\",\"b\":true}");
 
   std::string Buf;
   StringOutputStream OS(Buf);
   JSONWriter W(OS);
   W.beginObject();
-  W.rawMembers(JSONWriter::membersOf(Object)); // first: no comma
-  W.attribute("c", uint64_t(1));
-  W.rawMembers(JSONWriter::membersOf(Object)); // later: one comma
-  W.rawMembers("");                            // nothing at all
-  W.attribute("d", uint64_t(2));
+  W.key("v");
+  W.rawValue(Object); // a member's value: no comma
+  W.key("l");
+  W.beginArray();
+  W.rawValue(Object); // first element: no comma
+  W.value(uint64_t(1));
+  W.rawValue(Object); // later: one comma
+  W.endArray();
   W.endObject();
-  EXPECT_EQ(Buf, "{\"a\":\"x\\\"y\",\"b\":true,\"c\":1,"
-                 "\"a\":\"x\\\"y\",\"b\":true,\"d\":2}");
+  EXPECT_EQ(Buf, "{\"v\":" + Object + ",\"l\":[" + Object + ",1," + Object +
+                     "]}");
 }
 
 TEST(JSONWriterTest, NegativeAndNull) {
