@@ -37,7 +37,6 @@
 #include "o2/SHB/SHBGraph.h"
 #include "o2/Support/Statistic.h"
 
-#include <set>
 #include <vector>
 
 namespace o2 {

@@ -16,6 +16,7 @@
 #include "o2/IR/Verifier.h"
 #include "o2/Support/Casting.h"
 #include "o2/Support/FaultInjector.h"
+#include "o2/Support/FlatIndexMap.h"
 #include "o2/Support/JSONWriter.h"
 #include "o2/Support/OutputStream.h"
 #include "o2/Support/ThreadPool.h"
@@ -28,7 +29,6 @@
 #include <filesystem>
 #include <string_view>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 
 using namespace o2;
@@ -133,7 +133,9 @@ namespace {
 /// of thousands of races.
 class RecordRenderer {
 public:
-  explicit RecordRenderer(std::vector<RaceText> &Texts) : Texts(Texts) {}
+  RecordRenderer(std::vector<RaceText> &Texts, unsigned NumStmts)
+      : Texts(Texts), Base(uint32_t(Texts.size())),
+        ByStmt(2 * size_t(NumStmts)) {}
 
   const std::string &stmt(const Stmt &S) {
     auto [It, Inserted] = Stmts.try_emplace(&S);
@@ -146,12 +148,13 @@ public:
   /// two accesses and rendered on first use: the only place race texts
   /// are rendered.
   uint32_t race(const Race &Rc, const PTAResult &PTA) {
-    const Access *First = &access(*Rc.A, Rc.AIsWrite);
-    const Access *Second = &access(*Rc.B, Rc.BIsWrite);
-    auto [It, Inserted] = TextOf.try_emplace({Rc.Loc.key(), First, Second},
-                                             uint32_t(Texts.size()));
-    if (!Inserted)
-      return It->second;
+    uint32_t FirstId = access(*Rc.A, Rc.AIsWrite);
+    uint32_t SecondId = access(*Rc.B, Rc.BIsWrite);
+    auto [N, New] =
+        TextOf.insert({Rc.Loc.key(), (uint64_t(FirstId) << 32) | SecondId});
+    if (!New)
+      return Base + N;
+    const Access *First = &Accesses[FirstId], *Second = &Accesses[SecondId];
     RaceText &T = Texts.emplace_back();
     T.Location = location(Rc.Loc, PTA);
     // Ordering the descriptors makes the fingerprint invariant under
@@ -165,16 +168,12 @@ public:
     W.attribute("fingerprint", T.Fingerprint);
     W.attribute("location", T.Location);
     T.DiffAt = T.Json.size();
-    for (auto [Key, Side] : {std::pair{"first", First}, {"second", Second}}) {
-      W.key(Key);
-      W.beginObject();
-      W.attribute("stmt", Side->Stmt);
-      W.attribute("function", Side->Function);
-      W.attribute("write", Side->IsWrite);
-      W.endObject();
-    }
+    W.key("first");
+    W.rawValue(First->Json);
+    W.key("second");
+    W.rawValue(Second->Json);
     W.endObject();
-    return It->second;
+    return Base + N;
   }
 
 private:
@@ -182,21 +181,32 @@ private:
   /// statement text, function name and kind — the same descriptor — share
   /// one, so the races between them share one text.
   struct Access {
-    std::string Stmt, Function;
-    bool IsWrite;
+    std::string Json; ///< {"stmt":…,"function":…,"write":…}
     std::string Desc; ///< "<stmt>|<function>|W" (or R).
   };
 
-  const Access &access(const Stmt &S, bool IsWrite) {
-    const Access *&A = ByStmt[IsWrite][&S];
+  /// The index in Accesses of \p S's access of kind \p IsWrite.
+  uint32_t access(const Stmt &S, bool IsWrite) {
+    uint32_t &A = ByStmt[2 * size_t(S.getId()) + IsWrite];
     if (!A) {
       const std::string &Text = stmt(S);
       const std::string &Function = S.getFunction()->getName();
       std::string Desc = Text + "|" + Function + "|" + (IsWrite ? "W" : "R");
-      A = &ByDesc.try_emplace(Desc, Access{Text, Function, IsWrite, Desc})
-               .first->second;
+      auto [It, New] = ByDesc.try_emplace(Desc, uint32_t(Accesses.size()));
+      if (New) {
+        Access &Acc = Accesses.emplace_back();
+        StringOutputStream OS(Acc.Json);
+        JSONWriter W(OS);
+        W.beginObject();
+        W.attribute("stmt", Text);
+        W.attribute("function", Function);
+        W.attribute("write", IsWrite);
+        W.endObject();
+        Acc.Desc = std::move(Desc);
+      }
+      A = It->second + 1;
     }
-    return *A;
+    return A - 1;
   }
 
   const std::string &location(const MemLoc &Loc, const PTAResult &PTA) {
@@ -206,22 +216,16 @@ private:
     return It->second;
   }
 
-  using TextKey = std::tuple<uint64_t, const Access *, const Access *>;
-  struct TextKeyHash {
-    size_t operator()(const TextKey &K) const {
-      size_t H = std::get<0>(K);
-      for (const void *P : {std::get<1>(K), std::get<2>(K)})
-        H = H * 0x9e3779b97f4a7c15ull ^ std::hash<const void *>()(P);
-      return H;
-    }
-  };
-
   std::vector<RaceText> &Texts;
+  uint32_t Base; ///< Texts' size when the renderer was made.
   std::unordered_map<const Stmt *, std::string> Stmts;
   std::unordered_map<uint64_t, std::string> Locations;
-  std::unordered_map<const Stmt *, const Access *> ByStmt[2];
-  std::unordered_map<std::string, Access> ByDesc;
-  std::unordered_map<TextKey, uint32_t, TextKeyHash> TextOf;
+  std::vector<Access> Accesses;
+  /// [2 * statement id + is-write]: 1 + its index in Accesses, 0 = unseen.
+  std::vector<uint32_t> ByStmt;
+  std::unordered_map<std::string, uint32_t> ByDesc;
+  /// (location key, access pair), numbered as Texts from Base on.
+  FlatIndexMap<std::pair<uint64_t, uint64_t>> TextOf;
 };
 
 } // namespace
@@ -415,7 +419,7 @@ void job::analyze(const JobSpec &Spec, const BatchOptions &Opts, Input &In,
     AM->run(Opts.Analyses);
     Harvest();
 
-    RecordRenderer Render(R.RaceTexts);
+    RecordRenderer Render(R.RaceTexts, M->numStmts());
     if (AM->ran(O2Phase::Detect)) {
       R.Races.reserve(AM->getRaces().races().size());
       for (const Race &Rc : AM->getRaces().races())

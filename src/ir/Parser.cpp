@@ -19,6 +19,7 @@
 #include "o2/IR/IRBuilder.h"
 #include "o2/Support/Casting.h"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <vector>
@@ -203,9 +204,15 @@ private:
 
   bool fail(const std::string &Msg) {
     const Token &T = peek();
-    Error = std::to_string(T.Line) + ":" + std::to_string(T.Col) + ": " + Msg;
+    failAt(T, Msg);
     if (T.Kind == TokKind::Ident)
       Error += " (got '" + std::string(T.Text) + "')";
+    return false;
+  }
+
+  /// Reports \p Msg positioned at \p T, without echoing the token.
+  bool failAt(const Token &T, const std::string &Msg) {
+    Error = std::to_string(T.Line) + ":" + std::to_string(T.Col) + ": " + Msg;
     return false;
   }
 
@@ -466,7 +473,13 @@ private:
       do {
         if (!at(TokKind::Ident))
           return fail("expected parameter name");
-        std::string PName(take().Text);
+        const Token &PTok = take();
+        std::string PName(PTok.Text);
+        // Methods declare 'this' implicitly, so it is taken already.
+        if ((C && PName == "this") ||
+            std::any_of(Params.begin(), Params.end(),
+                        [&](const Param &P) { return P.Name == PName; }))
+          return failAt(PTok, "duplicate parameter '" + PName + "'");
         if (!expect(TokKind::Colon, "':'"))
           return false;
         Type *PTy = parseType();
@@ -571,10 +584,8 @@ private:
 
   Variable *lookupVar(Function *F, const Token &T) {
     Variable *V = F->findVariable(std::string(T.Text));
-    if (!V) {
-      Error = std::to_string(T.Line) + ":" + std::to_string(T.Col) +
-              ": unknown variable '" + std::string(T.Text) + "'";
-    }
+    if (!V)
+      failAt(T, "unknown variable '" + std::string(T.Text) + "'");
     return V;
   }
 

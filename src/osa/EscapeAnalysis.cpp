@@ -10,7 +10,8 @@
 
 #include "o2/Support/Casting.h"
 
-#include <set>
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 using namespace o2;
@@ -110,8 +111,10 @@ private:
   }
 
   void countSharedAccesses() {
-    std::set<unsigned> AccessStmts;
-    std::set<unsigned> SharedStmts;
+    // Statement IDs are dense per module, so one mark per statement (1 =
+    // access, 2 = shared access) counts each statement once.
+    std::vector<uint8_t> Seen(PTA.module().numStmts());
+    unsigned NumAccess = 0, NumShared = 0;
     for (const auto &[F, C] : PTA.instances()) {
       if (pollCancelled(Cancel)) {
         R.Cancelled = true;
@@ -144,14 +147,15 @@ private:
           break;
         }
         if (IsAccess) {
-          AccessStmts.insert(S.getId());
-          if (Shared)
-            SharedStmts.insert(S.getId());
+          uint8_t &Mark = Seen[S.getId()];
+          NumAccess += Mark == 0;
+          NumShared += Shared && Mark < 2;
+          Mark = std::max<uint8_t>(Mark, Shared ? 2 : 1);
         }
       }
     }
-    R.NumAccessStmts = static_cast<unsigned>(AccessStmts.size());
-    R.NumSharedAccessStmts = static_cast<unsigned>(SharedStmts.size());
+    R.NumAccessStmts = NumAccess;
+    R.NumSharedAccessStmts = NumShared;
   }
 
   const PTAResult &PTA;

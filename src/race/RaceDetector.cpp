@@ -57,8 +57,9 @@
 //     (first occurrence of stmt A in the Ci prefix, first occurrence of
 //     stmt B in the Cj prefix). Each location therefore reduces to "per
 //     statement pair, the minimum (I, J) rank and its payload", computed
-//     shard-locally, and the shards are folded in canonical location
-//     order through one global dedup set.
+//     shard-locally; the fold sorts every location's pairs once by
+//     (statement pair, location) and keeps the first of each statement
+//     pair (see detectRaces).
 //
 // ## Scheduling
 //
@@ -77,8 +78,9 @@
 
 #include "o2/IR/Printer.h"
 #include "o2/SHB/HBIndex.h"
-#include "o2/Support/BitVector.h"
+#include "o2/Support/ArrayRef.h"
 #include "o2/Support/Casting.h"
+#include "o2/Support/FlatIndexMap.h"
 #include "o2/Support/JSONWriter.h"
 #include "o2/Support/OutputStream.h"
 #include "o2/Support/ThreadPool.h"
@@ -89,61 +91,41 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace o2;
 
 namespace {
 
-/// Sorted candidate list: each shared location with all accesses to it,
-/// in (thread, position) order — threads ascend, positions strictly
+/// One shared location and its accesses, CandidateList::Accesses[Begin,
+/// End), in (thread, position) order — threads ascend, positions strictly
 /// ascend per thread (trace order). The class math relies on this order.
-using CandidateList =
-    std::vector<std::pair<MemLoc, std::vector<const AccessEvent *>>>;
-
-/// Classifies locations as `atomic` synchronization (excluded from race
-/// candidates) with the class-hierarchy field walk memoized per
-/// (class type, field key), so the supers chain is walked once per
-/// distinct field instead of once per aliasing location.
-class AtomicLocFilter {
-public:
-  explicit AtomicLocFilter(const PTAResult &PTA) : PTA(PTA) {}
-
-  bool isAtomic(MemLoc Loc) {
-    if (Loc.isGlobal())
-      return PTA.module().globals()[Loc.globalId()]->isAtomic();
-    FieldKey FK = Loc.fieldKey();
-    if (FK == ArrayElemKey)
-      return false;
-    const ObjInfo &O = PTA.object(Loc.object());
-    const auto *Cls = dyn_cast<ClassType>(O.AllocatedType);
-    if (!Cls)
-      return false;
-    uint64_t Key = (uint64_t(reinterpret_cast<uintptr_t>(Cls)) << 12) ^ FK;
-    auto It = Cache.find(Key);
-    if (It != Cache.end())
-      return It->second;
-    bool Atomic = false, Found = false;
-    for (const ClassType *C = Cls; C && !Found; C = C->getSuper())
-      for (const auto &F : C->fields())
-        if (fieldKeyOf(F.get()) == FK) {
-          Atomic = F->isAtomic();
-          Found = true;
-          break;
-        }
-    Cache.emplace(Key, Atomic);
-    return Atomic;
-  }
-
-private:
-  const PTAResult &PTA;
-  /// (class pointer, field key) -> is-atomic. Pointer identity is stable
-  /// for the module's lifetime; the shift leaves the low bits to the
-  /// field key (class objects are heap-allocated, so the low pointer
-  /// bits carry little entropy anyway).
-  std::unordered_map<uint64_t, bool> Cache;
+struct Candidate {
+  MemLoc Loc;
+  size_t Begin, End;
 };
+
+/// The candidates in location order, their accesses in one flat vector.
+struct CandidateList {
+  std::vector<Candidate> Locs;
+  std::vector<const AccessEvent *> Accesses;
+};
+
+/// True if \p Loc is `atomic` synchronization, not data. Only shared
+/// locations are asked, so the class-hierarchy walk is not memoized.
+bool isAtomicLoc(const PTAResult &PTA, MemLoc Loc) {
+  if (Loc.isGlobal())
+    return PTA.module().globals()[Loc.globalId()]->isAtomic();
+  FieldKey FK = Loc.fieldKey();
+  if (FK == ArrayElemKey)
+    return false;
+  const ObjInfo &O = PTA.object(Loc.object());
+  for (const auto *C = dyn_cast<ClassType>(O.AllocatedType); C;
+       C = C->getSuper())
+    for (const auto &F : C->fields())
+      if (fieldKeyOf(F.get()) == FK)
+        return F->isAtomic();
+  return false;
+}
 
 /// Shared-location filter over the traces: a location is a candidate if
 /// at least two threads access it and at least one writes (and it is not
@@ -152,66 +134,47 @@ private:
 CandidateList collectCandidates(const PTAResult &PTA, const SHBGraph &SHB,
                                 const RaceDetectorOptions &Opts,
                                 StatisticRegistry &Stats) {
-  struct LocInfo {
-    BitVector ReadThreads;
-    BitVector WriteThreads;
-    std::vector<const AccessEvent *> Accesses;
-  };
-  std::unordered_map<MemLoc, LocInfo> Infos;
-  for (const ThreadInfo &T : SHB.threads()) {
-    for (const AccessEvent &E : T.Accesses) {
-      for (const MemLoc &Loc : E.Locs) {
-        LocInfo &I = Infos[Loc];
-        if (E.IsWrite)
-          I.WriteThreads.set(E.Thread);
-        else
-          I.ReadThreads.set(E.Thread);
-        I.Accesses.push_back(&E);
-      }
+  // Every (location, access) pair in trace order; a stable sort groups
+  // them by location and keeps each group in trace order.
+  std::vector<std::pair<MemLoc, const AccessEvent *>> ByLoc;
+  for (const ThreadInfo &T : SHB.threads())
+    for (const AccessEvent &E : T.Accesses)
+      for (const MemLoc &Loc : E.Locs)
+        ByLoc.emplace_back(Loc, &E);
+  std::stable_sort(
+      ByLoc.begin(), ByLoc.end(),
+      [](const auto &A, const auto &B) { return A.first < B.first; });
+  CandidateList C;
+  size_t SharedObjects = 0;
+  for (size_t I = 0, J; I < ByLoc.size(); I = J) {
+    MemLoc Loc = ByLoc[I].first;
+    bool Written = false;
+    unsigned Threads = 0;
+    for (J = I; J < ByLoc.size() && ByLoc[J].first == Loc; ++J) {
+      const AccessEvent *E = ByLoc[J].second;
+      Written |= E->IsWrite;
+      Threads += J == I || E->Thread != ByLoc[J - 1].second->Thread;
     }
-  }
-  AtomicLocFilter Atomics(PTA);
-  CandidateList Candidates;
-  std::unordered_set<unsigned> SharedObjects;
-  for (auto &[Loc, I] : Infos) {
-    if (Opts.HandleAtomics && Atomics.isAtomic(Loc))
-      continue;
     // Shared as OSA defines it (LocAccessSets::isShared), over threads:
-    // a writer, and at least two accessing threads.
-    if (I.WriteThreads.none() ||
-        BitVector::unionCount(I.ReadThreads, I.WriteThreads, 2) < 2)
+    // a writer, and at least two accessing threads (a group lists each
+    // thread's accesses together, so thread changes count the threads).
+    if (!Written || Threads < 2 ||
+        (Opts.HandleAtomics && isAtomicLoc(PTA, Loc)))
       continue;
-    if (!Loc.isGlobal())
-      SharedObjects.insert(Loc.object());
-    Candidates.emplace_back(Loc, std::move(I.Accesses));
+    // Object locations sort by object, before the globals.
+    if (!Loc.isGlobal() &&
+        (C.Locs.empty() || C.Locs.back().Loc.object() != Loc.object()))
+      ++SharedObjects;
+    C.Locs.push_back({Loc, C.Accesses.size(), C.Accesses.size() + (J - I)});
+    for (size_t K = I; K < J; ++K)
+      C.Accesses.push_back(ByLoc[K].second);
   }
-  // Hashed iteration order is arbitrary: sort once so sharding and report
-  // order stay deterministic.
-  std::sort(Candidates.begin(), Candidates.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-  Stats.set("race.shared-locations", Candidates.size());
-  Stats.set("race.shared-objects", SharedObjects.size());
+  Stats.set("race.shared-locations", C.Locs.size());
+  Stats.set("race.shared-objects", SharedObjects);
   Stats.set("race.threads", SHB.numThreads());
   Stats.set("race.access-events", SHB.numAccessEvents());
-  return Candidates;
+  return C;
 }
-
-/// Dedup key for lock-region merging: ⟨thread, lock region⟩ and
-/// ⟨lockset, is-write⟩, each packed into one word.
-struct MergedRegionKey {
-  uint64_t ThreadRegion;
-  uint64_t LocksetWrite;
-  bool operator==(const MergedRegionKey &RHS) const {
-    return ThreadRegion == RHS.ThreadRegion && LocksetWrite == RHS.LocksetWrite;
-  }
-};
-struct MergedRegionKeyHash {
-  size_t operator()(const MergedRegionKey &K) const {
-    uint64_t H = K.ThreadRegion * 0x9e3779b97f4a7c15ull;
-    H ^= K.LocksetWrite + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
-    return static_cast<size_t>(H);
-  }
-};
 
 /// Optimization 3: within one thread, all accesses to one location inside
 /// the same sync-free lock region with the same lockset have identical
@@ -219,20 +182,21 @@ struct MergedRegionKeyHash {
 /// Preserves input order; \p MergedOut is incremented once per dropped
 /// access (the "race.merged-accesses" statistic).
 std::vector<const AccessEvent *>
-mergeByLockRegion(const std::vector<const AccessEvent *> &In,
+mergeByLockRegion(ArrayRef<const AccessEvent *> In,
+                  FlatIndexMap<std::pair<uint64_t, uint64_t>> &Seen,
                   uint64_t &MergedOut) {
   std::vector<const AccessEvent *> Out;
   // (thread, region) and (lockset, is-write) packed into two words; output
   // keeps the input order, so the hashed dedup stays deterministic.
-  std::unordered_set<MergedRegionKey, MergedRegionKeyHash> Seen;
+  Seen.clear();
   for (const AccessEvent *E : In) {
     if (E->LockRegion == 0 || E->RegionHasSync) {
       Out.push_back(E);
       continue;
     }
-    MergedRegionKey Key{(uint64_t(E->Thread) << 32) | E->LockRegion,
-                        (uint64_t(E->Lockset) << 1) | E->IsWrite};
-    if (Seen.insert(Key).second)
+    if (Seen.insert({(uint64_t(E->Thread) << 32) | E->LockRegion,
+                     (uint64_t(E->Lockset) << 1) | E->IsWrite})
+            .second)
       Out.push_back(E);
     else
       ++MergedOut;
@@ -254,23 +218,18 @@ Race makeRace(MemLoc Loc, const AccessEvent &A, const AccessEvent &B) {
   const AccessEvent *EA = &A, *EB = &B;
   if (EA->S->getId() > EB->S->getId())
     std::swap(EA, EB);
-  Race Rc;
-  Rc.Loc = Loc;
-  Rc.A = EA->S;
-  Rc.B = EB->S;
-  Rc.ThreadA = EA->Thread;
-  Rc.ThreadB = EB->Thread;
-  Rc.AIsWrite = EA->IsWrite;
-  Rc.BIsWrite = EB->IsWrite;
-  return Rc;
+  return {Loc, EA->S, EB->S, EA->Thread, EB->Thread, EA->IsWrite,
+          EB->IsWrite};
 }
 
 /// One statement pair a location wants to report: the minimum-rank racy
-/// access pair with that statement pair, payload prebuilt.
+/// access pair with that statement pair.
 struct PendingRace {
-  uint64_t Rank; ///< (lower global index << 32) | higher global index.
   uint64_t Key;  ///< stmtPairKey of the two statements.
-  Race Rc;
+  /// (lower global index << 32) | higher global index; in the fold,
+  /// which orders across locations, the location's index instead.
+  uint64_t Rank;
+  const AccessEvent *A, *B;
 };
 
 /// Everything one candidate location contributes, mergeable in canonical
@@ -299,53 +258,41 @@ struct AccessClass {
   bool StmtsBuilt = false;
   std::vector<std::pair<uint32_t, const AccessEvent *>> Stmts;
 
-  size_t size() const { return Pos.size(); }
-
-  const std::vector<std::pair<uint32_t, const AccessEvent *>> &stmts() {
+  const std::vector<std::pair<uint32_t, const AccessEvent *>> &
+  stmts(FlatIndexMap<uint64_t> &Seen) {
     if (!StmtsBuilt) {
       StmtsBuilt = true;
-      std::unordered_set<const Stmt *> Seen;
+      Seen.clear();
       for (uint32_t R = 0; R < Ev.size(); ++R)
-        if (Seen.insert(Ev[R]->S).second)
+        if (Seen.insert(Ev[R]->S->getId()).second)
           Stmts.emplace_back(R, Ev[R]);
     }
     return Stmts;
   }
 };
 
-/// Class key: (thread, segment) and (lockset, is-write), packed.
-struct ClassKey {
-  uint64_t ThreadSeg;
-  uint64_t LocksetWrite;
-  bool operator==(const ClassKey &RHS) const {
-    return ThreadSeg == RHS.ThreadSeg && LocksetWrite == RHS.LocksetWrite;
-  }
-};
-struct ClassKeyHash {
-  size_t operator()(const ClassKey &K) const {
-    uint64_t H = K.ThreadSeg * 0x9e3779b97f4a7c15ull;
-    H ^= K.LocksetWrite + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
-    return static_cast<size_t>(H);
-  }
-};
+/// A worker's tables, reused from location to location, and its lockset
+/// intersections: the precomputed matrix when available, otherwise a memo
+/// over SHBGraph's merge test.
+struct Scratch {
+  Scratch(const SHBGraph &SHB, const LocksetMatrix *Matrix)
+      : SHB(SHB), Matrix(Matrix) {}
 
-/// Per-participant lockset intersection: the precomputed matrix when
-/// available, otherwise a shard-local memo over SHBGraph's merge test.
-struct LocksetLookup {
   const SHBGraph &SHB;
   const LocksetMatrix *Matrix;
-  std::unordered_map<uint64_t, bool> Cache;
+  FlatIndexMap<uint64_t> LocksetPairs; ///< Intersects[N] answers pair N.
+  std::vector<bool> Intersects;
+  FlatIndexMap<std::pair<uint64_t, uint64_t>> Regions, ClassKeys;
+  FlatIndexMap<uint64_t> Stmts, StmtPairs;
 
   bool intersect(LocksetId A, LocksetId B) {
     if (Matrix)
       return Matrix->intersect(A, B);
     uint64_t K = A < B ? (uint64_t(A) << 32) | B : (uint64_t(B) << 32) | A;
-    auto It = Cache.find(K);
-    if (It != Cache.end())
-      return It->second;
-    bool R = SHB.locksetsIntersect(A, B);
-    Cache.emplace(K, R);
-    return R;
+    if (auto [N, New] = LocksetPairs.insert(K); !New)
+      return Intersects[N];
+    Intersects.push_back(SHB.locksetsIntersect(A, B));
+    return Intersects.back();
   }
 };
 
@@ -370,45 +317,47 @@ struct EngineState {
   size_t Remaining = 0;
 };
 
-void processLocation(EngineState &S, size_t LocIdx, LocksetLookup &Locksets) {
+void processLocation(EngineState &S, size_t LocIdx, Scratch &W) {
   const HBIndex &HBI = *S.HBI;
-  const auto &[Loc, AllAccesses] = (*S.Candidates)[LocIdx];
+  const Candidate &Cand = S.Candidates->Locs[LocIdx];
+  const AccessEvent *const *All = S.Candidates->Accesses.data();
   LocationResult &LR = S.Results[LocIdx];
 
   std::vector<const AccessEvent *> Accesses =
-      mergeByLockRegion(AllAccesses, LR.Merged);
+      mergeByLockRegion({All + Cand.Begin, All + Cand.End}, W.Regions,
+                        LR.Merged);
 
   // Group into equivalence classes, in first-occurrence order. The access
   // vector ascends by (thread, position), so classes of different threads
   // never interleave: for I < J with different threads, every member of
   // class I has a smaller global index than every member of class J —
   // which is what lets a rectangle's minimum rank be read off the class
-  // prefixes below.
+  // prefixes below. Class keys pack (thread, segment) and (lockset,
+  // is-write) into two words.
   std::vector<AccessClass> Classes;
-  std::unordered_map<ClassKey, size_t, ClassKeyHash> ByKey;
+  W.ClassKeys.clear();
   for (uint32_t K = 0; K < Accesses.size(); ++K) {
     const AccessEvent *E = Accesses[K];
     unsigned Seg = HBI.segmentOf(E->Thread, E->Pos);
-    ClassKey Key{(uint64_t(E->Thread) << 32) | Seg,
-                 (uint64_t(E->Lockset) << 1) | E->IsWrite};
-    auto [It, New] = ByKey.try_emplace(Key, Classes.size());
+    auto [CI, New] =
+        W.ClassKeys.insert({(uint64_t(E->Thread) << 32) | Seg,
+                            (uint64_t(E->Lockset) << 1) | E->IsWrite});
     if (New) {
-      AccessClass C;
+      AccessClass &C = Classes.emplace_back();
       C.Thread = E->Thread;
       C.Row = HBI.rowOf(E->Thread, Seg);
       C.Lockset = E->Lockset;
       C.IsWrite = E->IsWrite;
-      Classes.push_back(std::move(C));
     }
-    AccessClass &C = Classes[It->second];
+    AccessClass &C = Classes[CI];
     C.Pos.push_back(E->Pos);
     C.Idx.push_back(K);
     C.Ev.push_back(E);
   }
 
-  // Minimum-rank racy pair per statement pair of this location.
-  std::unordered_map<uint64_t, PendingRace> Wanted;
-
+  // Minimum-rank racy pair per statement pair of this location:
+  // W.StmtPairs numbers each statement pair by its entry in LR.Pending.
+  W.StmtPairs.clear();
   for (size_t I = 0; I < Classes.size(); ++I) {
     for (size_t J = I + 1; J < Classes.size(); ++J) {
       AccessClass &A = Classes[I];
@@ -417,17 +366,17 @@ void processLocation(EngineState &S, size_t LocIdx, LocksetLookup &Locksets) {
         continue;
       if (!A.IsWrite && !B.IsWrite)
         continue;
-      uint64_t N = uint64_t(A.size()) * B.size();
+      uint64_t N = uint64_t(A.Pos.size()) * B.Pos.size();
       LR.PairsChecked += N;
       LR.LocksetChecks += N;
-      if (Locksets.intersect(A.Lockset, B.Lockset))
+      if (W.intersect(A.Lockset, B.Lockset))
         continue;
       // hb(a, b) is false exactly for b before R12; the scan issues its
       // second query hb(b, a) for exactly those pairs.
       uint32_t R12 = HBI.reach(A.Row, B.Thread);
       size_t Cut12 = std::lower_bound(B.Pos.begin(), B.Pos.end(), R12) -
                      B.Pos.begin();
-      LR.HBQueries += N + uint64_t(A.size()) * Cut12;
+      LR.HBQueries += N + uint64_t(A.Pos.size()) * Cut12;
       if (Cut12 == 0)
         continue;
       uint32_t R21 = HBI.reach(B.Row, A.Thread);
@@ -438,39 +387,29 @@ void processLocation(EngineState &S, size_t LocIdx, LocksetLookup &Locksets) {
       // Racy rectangle: prefix(A, Cut21) x prefix(B, Cut12). For each
       // statement pair, its minimum-rank racy pair uses the first
       // occurrence of each statement within the prefixes.
-      for (const auto &[RankA, EA] : A.stmts()) {
+      for (const auto &[RankA, EA] : A.stmts(W.Stmts)) {
         if (RankA >= Cut21)
           break;
-        for (const auto &[RankB, EB] : B.stmts()) {
+        for (const auto &[RankB, EB] : B.stmts(W.Stmts)) {
           if (RankB >= Cut12)
             break;
           uint64_t Rank = (uint64_t(A.Idx[RankA]) << 32) | B.Idx[RankB];
           uint64_t Key = stmtPairKey(EA->S, EB->S);
-          auto [It, New] =
-              Wanted.try_emplace(Key, PendingRace{Rank, Key, Race{}});
-          if (New || Rank < It->second.Rank) {
-            It->second.Rank = Rank;
-            It->second.Rc = makeRace(Loc, *EA, *EB);
-          }
+          auto [P, New] = W.StmtPairs.insert(Key);
+          if (New)
+            LR.Pending.push_back({Key, Rank, EA, EB});
+          else if (Rank < LR.Pending[P].Rank)
+            LR.Pending[P] = {Key, Rank, EA, EB};
         }
       }
     }
   }
-
-  LR.Pending.reserve(Wanted.size());
-  for (auto &[Key, P] : Wanted)
-    LR.Pending.push_back(std::move(P));
-  std::sort(LR.Pending.begin(), LR.Pending.end(),
-            [](const PendingRace &X, const PendingRace &Y) {
-              return X.Rank < Y.Rank;
-            });
 }
 
 /// Worker body: pull locations from the cursor until exhausted. Runs on
-/// the caller and on every pool task; each participant owns a lockset
-/// memo of its own.
+/// the caller and on every pool task; each participant owns its scratch.
 void participate(const std::shared_ptr<EngineState> &S) {
-  LocksetLookup Locksets{*S->SHB, S->Matrix, {}};
+  Scratch W(*S->SHB, S->Matrix);
   for (;;) {
     size_t I = S->Next.fetch_add(1, std::memory_order_relaxed);
     if (I >= S->NumLocations)
@@ -479,7 +418,7 @@ void participate(const std::shared_ptr<EngineState> &S) {
       if (pollCancelled(S->Opts->Cancel))
         S->CancelFlag.store(true, std::memory_order_relaxed);
       else
-        processLocation(*S, I, Locksets);
+        processLocation(*S, I, W);
     }
     std::lock_guard<std::mutex> Lock(S->Mutex);
     if (--S->Remaining == 0)
@@ -494,7 +433,7 @@ RaceReport o2::detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
   RaceReport R;
   StatisticRegistry &Stats = R.Stats;
   CandidateList Candidates = collectCandidates(PTA, SHB, Opts, Stats);
-  if (Candidates.empty()) {
+  if (Candidates.Locs.empty()) {
     Stats.set("race.races", 0);
     return R;
   }
@@ -512,7 +451,7 @@ RaceReport o2::detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
   if (SHB.numLocksets() <= Opts.LocksetMatrixMaxSize)
     Matrix = std::make_unique<LocksetMatrix>(SHB);
 
-  size_t N = Candidates.size();
+  size_t N = Candidates.Locs.size();
   auto S = std::make_shared<EngineState>();
   S->Candidates = &Candidates;
   S->SHB = &SHB;
@@ -550,21 +489,39 @@ RaceReport o2::detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
     S->DoneCV.wait(Lock, [&] { return S->Remaining == 0; });
   }
 
-  // Canonical-order fold: identical to the scan's global statement-pair
-  // dedup because locations are visited in sorted order and each
-  // location's pending races carry their scan rank.
+  // Canonical-order fold, one sort. The scan reports each statement pair
+  // once, from the first candidate location racing on it; sorting every
+  // pending race by (key, location index) puts that race first in its run
+  // of equal keys, where std::unique keeps it. Keys order as (A.id, B.id),
+  // so the races come out in report order.
   uint64_t Pairs = 0, Locksets = 0, HBQueries = 0, Merged = 0;
-  std::unordered_set<uint64_t> Reported;
-  std::vector<Race> Races;
-  for (LocationResult &LR : S->Results) {
+  size_t Total = 0;
+  for (const LocationResult &LR : S->Results) {
     Pairs += LR.PairsChecked;
     Locksets += LR.LocksetChecks;
     HBQueries += LR.HBQueries;
     Merged += LR.Merged;
-    for (PendingRace &P : LR.Pending)
-      if (Reported.insert(P.Key).second)
-        Races.push_back(P.Rc);
+    Total += LR.Pending.size();
   }
+  std::vector<PendingRace> All;
+  All.reserve(Total);
+  for (size_t L = 0; L < N; ++L) {
+    for (const PendingRace &P : S->Results[L].Pending)
+      All.push_back({P.Key, L, P.A, P.B});
+    std::vector<PendingRace>().swap(S->Results[L].Pending);
+  }
+  std::sort(All.begin(), All.end(), [](const auto &X, const auto &Y) {
+    return std::pair(X.Key, X.Rank) < std::pair(Y.Key, Y.Rank);
+  });
+  All.erase(std::unique(All.begin(), All.end(),
+                        [](const auto &X, const auto &Y) {
+                          return X.Key == Y.Key;
+                        }),
+            All.end());
+  std::vector<Race> Races;
+  Races.reserve(All.size());
+  for (const PendingRace &P : All)
+    Races.push_back(makeRace(Candidates.Locs[P.Rank].Loc, *P.A, *P.B));
   // Counters materialize only once charged (create-on-first-add).
   if (Merged)
     Stats.add("race.merged-accesses", Merged);
@@ -575,11 +532,6 @@ RaceReport o2::detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
   if (HBQueries)
     Stats.add("race.hb-queries", HBQueries);
 
-  std::sort(Races.begin(), Races.end(), [](const Race &X, const Race &Y) {
-    if (X.A->getId() != Y.A->getId())
-      return X.A->getId() < Y.A->getId();
-    return X.B->getId() < Y.B->getId();
-  });
   R.Races = std::move(Races);
   R.Cancelled = S->CancelFlag.load(std::memory_order_relaxed);
   Stats.set("race.races", R.Races.size());

@@ -119,6 +119,34 @@ TEST(DriverTest, StatusClassification) {
   EXPECT_EQ(R.exitCode(), ExitError);
 }
 
+TEST(DriverTest, DuplicateParametersAreParseErrors) {
+  // A repeated parameter name, and a method declaring its implicit
+  // 'this', are diagnosed by the parser; neither takes the batch down.
+  for (const char *Dup : {"func helper(a: int, a: int) { }\n"
+                          "func main() { }",
+                          "class W { method run(this: W) { } }\n"
+                          "func main() { }"}) {
+    for (IsolationMode Mode :
+         {IsolationMode::InProcess, IsolationMode::Process}) {
+      BatchOptions Opts;
+      Opts.Jobs = 2;
+      Opts.Isolate = Mode;
+      BatchResult R = runBatch(
+          {sourceSpec("dup", Dup), sourceSpec("ok", RacyProgram)}, Opts);
+      ASSERT_EQ(R.Jobs.size(), 2u);
+      EXPECT_EQ(R.Jobs[0].Status, JobStatus::ParseError) << Dup;
+      EXPECT_NE(R.Jobs[0].Error.find("duplicate parameter"),
+                std::string::npos)
+          << R.Jobs[0].Error;
+      EXPECT_EQ(R.Jobs[1].Status, JobStatus::Races);
+      EXPECT_EQ(R.Jobs[1].Races.size(), 1u);
+      EXPECT_EQ(R.exitCode(), ExitError);
+      EXPECT_NE(renderJSONL(R).find("\"status\":\"parse-error\""),
+                std::string::npos);
+    }
+  }
+}
+
 TEST(DriverTest, DeterministicAcrossWorkerCountsAndRuns) {
   std::vector<JobSpec> Specs;
   for (int I = 0; I < 6; ++I)

@@ -9,7 +9,9 @@
 // Feeds every file of tests/ir/corpus/ — truncated programs, undefined
 // types, duplicate names, garbage tokens — through the parser and checks
 // that each one is rejected with a positioned "line:col: message"
-// diagnostic instead of crashing or being silently accepted.
+// diagnostic instead of crashing or being silently accepted. Each file's
+// diagnostic is pinned word for word, so a parser rewrite cannot change
+// one silently.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <vector>
 
@@ -45,6 +48,23 @@ std::string readFile(const std::filesystem::path &P) {
   return SS.str();
 }
 
+/// The exact diagnostic of every corpus file, keyed by file stem.
+const std::map<std::string, std::string> &expectedDiagnostics() {
+  static const std::map<std::string, std::string> Expected = {
+      {"bad_toplevel", "3:1: expected 'class', 'global', or 'func' "
+                       "(got 'widget')"},
+      {"bad_type", "3:25: unknown type 'Widget'"},
+      {"duplicate_class", "3:14: duplicate class 'Worker'"},
+      {"duplicate_param", "2:21: duplicate parameter 'a'"},
+      {"duplicate_this", "3:14: duplicate parameter 'this'"},
+      {"duplicate_var", "4:8: duplicate variable 'x'"},
+      {"truncated_class", "6:1: unterminated block"},
+      {"truncated_stmt", "7:1: unterminated block"},
+      {"unknown_global", "4:12: unknown global 'missing'"},
+  };
+  return Expected;
+}
+
 class ParserErrorCorpusTest
     : public testing::TestWithParam<std::filesystem::path> {};
 
@@ -67,6 +87,11 @@ TEST_P(ParserErrorCorpusTest, RejectedWithPositionedDiagnostic) {
   EXPECT_GT(Col, 0u) << "no column in '" << Err << "'";
   EXPECT_NE(Err.find(": "), std::string::npos)
       << "no message in '" << Err << "'";
+
+  auto It = expectedDiagnostics().find(Path.stem().string());
+  ASSERT_NE(It, expectedDiagnostics().end())
+      << Path << " has no expected diagnostic";
+  EXPECT_EQ(Err, It->second) << Path;
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, ParserErrorCorpusTest,
@@ -79,6 +104,7 @@ INSTANTIATE_TEST_SUITE_P(Corpus, ParserErrorCorpusTest,
 // list would silently skip all of the above.
 TEST(ParserErrorCorpus, CorpusIsNonEmpty) {
   EXPECT_GE(corpusFiles().size(), 6u);
+  EXPECT_EQ(corpusFiles().size(), expectedDiagnostics().size());
 }
 
 } // namespace

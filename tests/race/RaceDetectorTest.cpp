@@ -11,10 +11,19 @@
 #include "RaceOracle.h"
 
 #include "o2/IR/Parser.h"
+#include "o2/IR/Printer.h"
 #include "o2/IR/Verifier.h"
 #include "o2/Support/OutputStream.h"
+#include "o2/Workload/BugModels.h"
+#include "o2/Workload/Generator.h"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 
 using namespace o2;
 
@@ -457,6 +466,228 @@ TEST(RaceDetectorTest, LockRegionMergingPreservesRaces) {
   EXPECT_LT(ROpt.stats().get("race.pairs-checked"),
             RNaive.Stats.get("race.pairs-checked"));
   EXPECT_GE(ROpt.stats().get("race.merged-accesses"), 1u);
+}
+
+/// The engine's races are exactly the pairwise oracle's, field by field.
+void expectOracleReport(const RaceReport &R, const test::RaceOracleResult &O) {
+  ASSERT_EQ(R.numRaces(), O.numRaces());
+  for (size_t I = 0; I < O.Races.size(); ++I) {
+    const Race &X = R.races()[I], &Y = O.Races[I];
+    EXPECT_TRUE(X.Loc == Y.Loc && X.A == Y.A && X.B == Y.B &&
+                X.ThreadA == Y.ThreadA && X.ThreadB == Y.ThreadB &&
+                X.AIsWrite == Y.AIsWrite && X.BIsWrite == Y.BIsWrite)
+        << "race " << I;
+  }
+}
+
+TEST(RaceDetectorTest, StatementPairOnTwoLocationsIsReportedOnce) {
+  // The write and the read race on a.v (two writers, one reader) and on
+  // b.v (one writer, one reader), with disjoint thread pairs. The report
+  // keeps one race for the pair: the one on the location first in
+  // candidate order, with the threads of its minimum-rank access pair.
+  auto M = parseProgram(R"(
+    class Data { field v: int; }
+    class Writer {
+      field d: Data;
+      method init(d: Data) { this.d = d; }
+      method run() { var d: Data; var x: int; d = this.d; d.v = x; }
+    }
+    class Reader {
+      field d: Data;
+      method init(d: Data) { this.d = d; }
+      method run() { var d: Data; var x: int; d = this.d; x = d.v; }
+    }
+    func main() {
+      var a: Data;
+      var b: Data;
+      var w1: Writer;
+      var w2: Writer;
+      var w3: Writer;
+      var r1: Reader;
+      var r2: Reader;
+      a = new Data;
+      b = new Data;
+      w1 = new Writer(b);
+      r1 = new Reader(b);
+      w2 = new Writer(a);
+      w3 = new Writer(a);
+      r2 = new Reader(a);
+      spawn w1.run();
+      spawn r1.run();
+      spawn w2.run();
+      spawn w3.run();
+      spawn r2.run();
+    }
+  )");
+  PTAOptions PTAOpts;
+  PTAOpts.Kind = ContextKind::Origin;
+  auto PTA = runPointerAnalysis(*M, PTAOpts);
+  SHBGraph SHB = buildSHBGraph(*PTA);
+
+  // Where the two statements access, and from which threads.
+  const Stmt *Write = nullptr, *Read = nullptr;
+  std::map<MemLoc, std::set<unsigned>> ThreadsAt;
+  for (const ThreadInfo &T : SHB.threads())
+    for (const AccessEvent &E : T.Accesses) {
+      std::string Text = printStmt(*E.S);
+      if (Text != "d.v = x" && Text != "x = d.v")
+        continue;
+      (E.IsWrite ? Write : Read) = E.S;
+      for (const MemLoc &Loc : E.Locs)
+        ThreadsAt[Loc].insert(E.Thread);
+    }
+  ASSERT_TRUE(Write && Read);
+  ASSERT_EQ(ThreadsAt.size(), 2u);
+  const auto &[First, FirstThreads] = *ThreadsAt.begin();
+  const auto &[Second, SecondThreads] = *ThreadsAt.rbegin();
+  EXPECT_EQ(FirstThreads.size(), 3u);
+  EXPECT_EQ(SecondThreads.size(), 2u);
+  for (unsigned T : FirstThreads)
+    EXPECT_EQ(SecondThreads.count(T), 0u) << "thread pairs must differ";
+
+  RaceReport R = detectRaces(*PTA, SHB);
+  test::RaceOracleResult O = test::runRaceOracle(*PTA, SHB);
+  auto [Lo, Hi] = std::minmax(Write, Read, [](const Stmt *X, const Stmt *Y) {
+    return X->getId() < Y->getId();
+  });
+  std::vector<const Race *> Pair;
+  for (const Race &Rc : R.races())
+    if (Rc.A == Lo && Rc.B == Hi)
+      Pair.push_back(&Rc);
+  ASSERT_EQ(Pair.size(), 1u) << "one race per statement pair";
+  EXPECT_EQ(Pair[0]->Loc, First);
+  EXPECT_EQ(FirstThreads.count(Pair[0]->ThreadA), 1u);
+  EXPECT_EQ(FirstThreads.count(Pair[0]->ThreadB), 1u);
+  expectOracleReport(R, O);
+}
+
+TEST(RaceDetectorTest, MinimumRankPairFixesThePayload) {
+  // On o.v the writer's classes are C0 = {o.v = y, put's write} outside
+  // the lock and C1 = {put's write} under it; C0 comes first, yet put's
+  // write occurs in C1 first. The locked reader races only with C0, the
+  // unlocked reader with both. The class pair (C0, locked reader) meets
+  // the (write, read) statement pair first, but the scan's first racy
+  // pair is (C1, unlocked reader): the report must name that reader.
+  auto M = parseProgram(R"(
+    class Obj { field v: int; }
+    class Lock { }
+    func put(o: Obj) { var x: int; o.v = x; }
+    func get(o: Obj) { var x: int; x = o.v; }
+    class W {
+      field o: Obj;
+      field l: Lock;
+      method init(o: Obj, l: Lock) { this.o = o; this.l = l; }
+      method run() {
+        var o: Obj;
+        var lk: Lock;
+        var y: int;
+        o = this.o;
+        lk = this.l;
+        o.v = y;
+        acquire lk;
+        put(o);
+        release lk;
+        put(o);
+      }
+    }
+    class LockedReader {
+      field o: Obj;
+      field l: Lock;
+      method init(o: Obj, l: Lock) { this.o = o; this.l = l; }
+      method run() {
+        var o: Obj;
+        var lk: Lock;
+        o = this.o;
+        lk = this.l;
+        acquire lk;
+        get(o);
+        release lk;
+      }
+    }
+    class Reader {
+      field o: Obj;
+      method init(o: Obj) { this.o = o; }
+      method run() { var o: Obj; o = this.o; get(o); }
+    }
+    func main() {
+      var o: Obj;
+      var l: Lock;
+      var w: W;
+      var lr: LockedReader;
+      var r: Reader;
+      o = new Obj;
+      l = new Lock;
+      w = new W(o, l);
+      lr = new LockedReader(o, l);
+      r = new Reader(o);
+      spawn w.run();
+      spawn lr.run();
+      spawn r.run();
+    }
+  )");
+  // Call-site contexts trace put twice in the writer, once per call.
+  PTAOptions PTAOpts;
+  PTAOpts.Kind = ContextKind::KCallsite;
+  auto PTA = runPointerAnalysis(*M, PTAOpts);
+  SHBGraph SHB = buildSHBGraph(*PTA);
+  const Stmt *Put = nullptr, *Get = nullptr;
+  unsigned Unlocked = 0, Locked = 0;
+  for (const ThreadInfo &T : SHB.threads())
+    for (const AccessEvent &E : T.Accesses) {
+      if (E.S->getFunction()->getName() == "put")
+        Put = E.S;
+      if (E.S->getFunction()->getName() == "get") {
+        Get = E.S;
+        (E.LockRegion ? Locked : Unlocked) = E.Thread;
+      }
+    }
+  ASSERT_TRUE(Put && Get);
+  ASSERT_NE(Locked, Unlocked);
+
+  RaceReport R = detectRaces(*PTA, SHB);
+  test::RaceOracleResult O = test::runRaceOracle(*PTA, SHB);
+  const Race *PutGet = nullptr;
+  for (const Race &Rc : R.races())
+    if ((Rc.A == Put && Rc.B == Get) || (Rc.A == Get && Rc.B == Put))
+      PutGet = &Rc;
+  ASSERT_TRUE(PutGet);
+  EXPECT_EQ(PutGet->A == Get ? PutGet->ThreadA : PutGet->ThreadB, Unlocked);
+  expectOracleReport(R, O);
+}
+
+TEST(RaceDetectorTest, ReportsAscendStrictlyByStatementPair) {
+  // The fold emits races in (A.id, B.id) order without a final sort and
+  // keeps one race per statement pair: check both on every bug model,
+  // every bundled example and every paper profile.
+  std::vector<std::pair<std::string, std::unique_ptr<Module>>> Modules;
+  for (const BugModel &B : bugModels())
+    Modules.emplace_back(B.Name, buildBugModel(B));
+  for (const auto &Entry : std::filesystem::directory_iterator(O2_OIR_DIR)) {
+    std::ifstream In(Entry.path());
+    std::stringstream Buf;
+    Buf << In.rdbuf();
+    Modules.emplace_back(Entry.path().stem().string(),
+                         parseProgram(Buf.str()));
+  }
+  for (const WorkloadProfile &P : benchmarkProfiles())
+    Modules.emplace_back(P.Name, generateWorkload(P));
+  EXPECT_GE(Modules.size(), bugModels().size() + 7 + 30);
+  size_t Races = 0;
+  for (const auto &[Name, M] : Modules) {
+    ASSERT_TRUE(M) << Name;
+    RaceReport R = detect(*M);
+    const std::vector<Race> &Rs = R.races();
+    Races += Rs.size();
+    for (size_t I = 0; I < Rs.size(); ++I) {
+      ASSERT_LE(Rs[I].A->getId(), Rs[I].B->getId()) << Name;
+      if (I) {
+        ASSERT_LT(std::pair(Rs[I - 1].A->getId(), Rs[I - 1].B->getId()),
+                  std::pair(Rs[I].A->getId(), Rs[I].B->getId()))
+            << Name << " race " << I;
+      }
+    }
+  }
+  EXPECT_GT(Races, 1000u) << "the corpus must exercise the fold";
 }
 
 TEST(RaceDetectorTest, ReportPrinting) {
