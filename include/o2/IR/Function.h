@@ -22,6 +22,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace o2 {
@@ -91,7 +92,6 @@ public:
 
   /// Declaring class if this is a method; null for free functions.
   ClassType *getClass() const { return Class; }
-  void setClass(ClassType *C) { Class = C; }
   bool isMethod() const { return Class != nullptr; }
 
   /// Creates a parameter. For methods, the receiver parameter "this" must
@@ -101,12 +101,8 @@ public:
   /// Creates a local variable.
   Variable *addLocal(const std::string &LocalName, Type *Ty);
 
-  /// Returns the variable that return statements write into, creating it
-  /// lazily. Null if the function returns void.
-  Variable *getReturnVar();
-
   /// Finds a parameter or local by name; null if absent.
-  Variable *findVariable(const std::string &VarName) const;
+  Variable *findVariable(std::string_view VarName) const;
 
   const std::vector<Variable *> &params() const { return Params; }
   const std::vector<std::unique_ptr<Variable>> &variables() const {
@@ -124,6 +120,9 @@ public:
   }
 
 private:
+  // A function becomes a method only through ClassType::addMethod.
+  friend class ClassType;
+
   std::string Name;
   Type *RetTy;
   Module &ParentModule;
@@ -131,7 +130,6 @@ private:
   ClassType *Class = nullptr;
   std::vector<Variable *> Params;
   std::vector<std::unique_ptr<Variable>> Vars;
-  Variable *RetVar = nullptr;
   std::vector<std::unique_ptr<Stmt>> Body;
 };
 

@@ -22,6 +22,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace o2 {
@@ -52,11 +54,12 @@ public:
   /// ClassType::addMethod) a method. \p RetTy may be null for void.
   Function *addFunction(const std::string &FuncName, Type *RetTy = nullptr);
 
-  ClassType *findClass(const std::string &ClassName) const;
-  Global *findGlobal(const std::string &GlobalName) const;
+  ClassType *findClass(std::string_view ClassName) const;
+  Global *findGlobal(std::string_view GlobalName) const;
 
-  /// Finds a free function (not a method) by name; null if absent.
-  Function *findFunction(const std::string &FuncName) const;
+  /// Finds the first-created free function (not a method) of this name;
+  /// null if absent.
+  Function *findFunction(std::string_view FuncName) const;
 
   /// The program entry point, conventionally named "main".
   Function *getMain() const { return findFunction("main"); }
@@ -90,14 +93,24 @@ public:
   unsigned takeStmtId() { return NextStmtId++; }
 
 private:
+  friend class ClassType;
+
+  /// Takes \p Method, which has just become a method, out of the free
+  /// function index.
+  void unindexMethod(Function *Method);
+
   std::string Name;
   IntType IntTy;
   std::vector<std::unique_ptr<ClassType>> Classes;
   std::vector<std::unique_ptr<Global>> Globals;
   std::vector<std::unique_ptr<Function>> Functions;
   std::map<Type *, std::unique_ptr<ArrayType>> ArrayTypes;
-  std::map<std::string, ClassType *> ClassByName;
-  std::map<std::string, Global *> GlobalByName;
+  // Name indexes. Each key views the name string of an entity this module
+  // owns, so it lives as long as the module.
+  std::unordered_map<std::string_view, ClassType *> ClassByName;
+  std::unordered_map<std::string_view, Global *> GlobalByName;
+  /// The first-created free function of each name.
+  std::unordered_map<std::string_view, Function *> FunctionByName;
 
   unsigned NextVarId = 0;
   unsigned NextFieldId = 0;

@@ -22,6 +22,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace o2 {
@@ -126,11 +127,11 @@ public:
   void addMethod(Function *Method);
 
   /// Finds a field by name along the superclass chain; null if absent.
-  Field *findField(const std::string &FieldName) const;
+  Field *findField(std::string_view FieldName) const;
 
   /// Virtual dispatch: finds the method implementation for \p MethodName
   /// starting from this (dynamic) class; null if absent.
-  Function *findMethod(const std::string &MethodName) const;
+  Function *findMethod(std::string_view MethodName) const;
 
   /// True if this class equals \p Other or derives from it.
   bool isSubclassOf(const ClassType *Other) const;

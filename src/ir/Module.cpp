@@ -27,11 +27,12 @@ Field *ClassType::addField(const std::string &FieldName, Type *Ty,
 void ClassType::addMethod(Function *Method) {
   assert(Method && "null method");
   assert(!Method->isMethod() && "function already attached to a class");
-  Method->setClass(this);
+  Method->Class = this;
   Methods.push_back(Method);
+  ParentModule.unindexMethod(Method);
 }
 
-Field *ClassType::findField(const std::string &FieldName) const {
+Field *ClassType::findField(std::string_view FieldName) const {
   for (const ClassType *C = this; C; C = C->Super)
     for (const auto &F : C->Fields)
       if (F->getName() == FieldName)
@@ -39,7 +40,7 @@ Field *ClassType::findField(const std::string &FieldName) const {
   return nullptr;
 }
 
-Function *ClassType::findMethod(const std::string &MethodName) const {
+Function *ClassType::findMethod(std::string_view MethodName) const {
   for (const ClassType *C = this; C; C = C->Super)
     for (Function *M : C->Methods)
       if (M->getName() == MethodName)
@@ -73,18 +74,7 @@ Variable *Function::addLocal(const std::string &LocalName, Type *Ty) {
   return Vars.back().get();
 }
 
-Variable *Function::getReturnVar() {
-  if (!RetTy)
-    return nullptr;
-  if (!RetVar) {
-    Vars.push_back(std::make_unique<Variable>(
-        "$ret", RetTy, this, ParentModule.takeVarId(), /*IsParam=*/false));
-    RetVar = Vars.back().get();
-  }
-  return RetVar;
-}
-
-Variable *Function::findVariable(const std::string &VarName) const {
+Variable *Function::findVariable(std::string_view VarName) const {
   for (const auto &V : Vars)
     if (V->getName() == VarName)
       return V.get();
@@ -98,7 +88,7 @@ Variable *Function::findVariable(const std::string &VarName) const {
 ClassType *Module::addClass(const std::string &ClassName, ClassType *Super) {
   assert(!findClass(ClassName) && "class name already in use");
   Classes.push_back(std::make_unique<ClassType>(ClassName, Super, *this));
-  ClassByName[ClassName] = Classes.back().get();
+  ClassByName.emplace(Classes.back()->getName(), Classes.back().get());
   return Classes.back().get();
 }
 
@@ -114,31 +104,52 @@ Global *Module::addGlobal(const std::string &GlobalName, Type *Ty,
   assert(!findGlobal(GlobalName) && "global name already in use");
   Globals.push_back(std::make_unique<Global>(
       GlobalName, Ty, static_cast<unsigned>(Globals.size()), IsAtomic));
-  GlobalByName[GlobalName] = Globals.back().get();
+  GlobalByName.emplace(Globals.back()->getName(), Globals.back().get());
   return Globals.back().get();
 }
 
 Function *Module::addFunction(const std::string &FuncName, Type *RetTy) {
   Functions.push_back(
       std::make_unique<Function>(FuncName, RetTy, *this, NextFuncId++));
-  return Functions.back().get();
+  Function *F = Functions.back().get();
+  // A new function is free; it is indexed unless an older free one has
+  // its name.
+  FunctionByName.emplace(F->getName(), F);
+  return F;
 }
 
-ClassType *Module::findClass(const std::string &ClassName) const {
-  auto It = ClassByName.find(ClassName);
-  return It == ClassByName.end() ? nullptr : It->second;
+void Module::unindexMethod(Function *Method) {
+  assert(Functions[Method->getId()].get() == Method && "ID is the index");
+  auto It = FunctionByName.find(Method->getName());
+  if (It == FunctionByName.end() || It->second != Method)
+    return;
+  // Every older function of this name is a method, so the first newer free
+  // one, if any, takes its place. A method is usually attached right after
+  // it is created, which leaves nothing to scan.
+  for (size_t I = Method->getId() + 1; I < Functions.size(); ++I)
+    if (!Functions[I]->isMethod() && Functions[I]->getName() == It->first) {
+      It->second = Functions[I].get();
+      return;
+    }
+  FunctionByName.erase(It);
 }
 
-Global *Module::findGlobal(const std::string &GlobalName) const {
-  auto It = GlobalByName.find(GlobalName);
-  return It == GlobalByName.end() ? nullptr : It->second;
+template <typename MapT>
+static auto lookup(const MapT &Map, std::string_view Name) {
+  auto It = Map.find(Name);
+  return It == Map.end() ? nullptr : It->second;
 }
 
-Function *Module::findFunction(const std::string &FuncName) const {
-  for (const auto &F : Functions)
-    if (!F->isMethod() && F->getName() == FuncName)
-      return F.get();
-  return nullptr;
+ClassType *Module::findClass(std::string_view ClassName) const {
+  return lookup(ClassByName, ClassName);
+}
+
+Global *Module::findGlobal(std::string_view GlobalName) const {
+  return lookup(GlobalByName, GlobalName);
+}
+
+Function *Module::findFunction(std::string_view FuncName) const {
+  return lookup(FunctionByName, FuncName);
 }
 
 unsigned Module::numProgramStmts() const {

@@ -142,7 +142,7 @@ static bool isInLoop(const Stmt &S) {
 static void printBody(const Function &F, OutputStream &OS) {
   OS << " {\n";
   for (const auto &V : F.variables()) {
-    if (V->isParam() || V->getName() == "$ret")
+    if (V->isParam())
       continue;
     OS.indent(4) << "var " << V->getName() << ": " << V->getType()->getName()
                  << ";\n";
@@ -214,7 +214,7 @@ void o2::printModule(const Module &M, OutputStream &OS) {
     printSignature(*F, OS);
     OS << " {\n";
     for (const auto &V : F->variables()) {
-      if (V->isParam() || V->getName() == "$ret")
+      if (V->isParam())
         continue;
       OS.indent(4) << "var " << V->getName() << ": "
                    << V->getType()->getName() << ";\n";

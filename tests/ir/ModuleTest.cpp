@@ -107,19 +107,6 @@ TEST(ModuleTest, FunctionVariablesAndParams) {
   EXPECT_NE(P->getId(), L->getId());
 }
 
-TEST(ModuleTest, ReturnVarLazyAndTyped) {
-  Module M;
-  ClassType *A = M.addClass("A");
-  Function *F = M.addFunction("f", A);
-  Variable *R1 = F->getReturnVar();
-  Variable *R2 = F->getReturnVar();
-  EXPECT_EQ(R1, R2);
-  EXPECT_EQ(R1->getType(), A);
-
-  Function *V = M.addFunction("v");
-  EXPECT_EQ(V->getReturnVar(), nullptr);
-}
-
 TEST(ModuleTest, FindFunctionSkipsMethods) {
   Module M;
   ClassType *A = M.addClass("A");
@@ -127,6 +114,23 @@ TEST(ModuleTest, FindFunctionSkipsMethods) {
   Function *Method = M.addFunction("work");
   A->addMethod(Method);
   EXPECT_EQ(M.findFunction("work"), Free);
+}
+
+// The name index holds the oldest free function of each name, and a
+// function leaves it when it becomes a method.
+TEST(ModuleTest, FindFunctionFollowsMethodAttachment) {
+  Module M;
+  Function *First = M.addFunction("run");
+  Function *Second = M.addFunction("run");
+  Function *Third = M.addFunction("run");
+  EXPECT_EQ(M.findFunction("run"), First);
+  M.addClass("A")->addMethod(First);
+  EXPECT_EQ(M.findFunction("run"), Second);
+  M.addClass("B")->addMethod(Third);
+  EXPECT_EQ(M.findFunction("run"), Second);
+  M.addClass("C")->addMethod(Second);
+  EXPECT_EQ(M.findFunction("run"), nullptr);
+  EXPECT_EQ(M.findFunction("missing"), nullptr);
 }
 
 TEST(ModuleTest, TypeKinds) {

@@ -51,9 +51,11 @@ std::string readFile(const std::filesystem::path &P) {
 /// The exact diagnostic of every corpus file, keyed by file stem.
 const std::map<std::string, std::string> &expectedDiagnostics() {
   static const std::map<std::string, std::string> Expected = {
+      {"bad_char_after_error", "4:1: unexpected character '#'"},
       {"bad_toplevel", "3:1: expected 'class', 'global', or 'func' "
                        "(got 'widget')"},
       {"bad_type", "3:25: unknown type 'Widget'"},
+      {"digit_start", "3:7: unexpected character '1'"},
       {"duplicate_class", "3:14: duplicate class 'Worker'"},
       {"duplicate_param", "2:21: duplicate parameter 'a'"},
       {"duplicate_this", "3:14: duplicate parameter 'this'"},
@@ -61,6 +63,7 @@ const std::map<std::string, std::string> &expectedDiagnostics() {
       {"truncated_class", "6:1: unterminated block"},
       {"truncated_stmt", "7:1: unterminated block"},
       {"unknown_global", "4:12: unknown global 'missing'"},
+      {"unterminated_body", "3:1: unterminated block"},
   };
   return Expected;
 }

@@ -10,8 +10,14 @@
 
 #include "o2/IR/Module.h"
 #include "o2/Support/Casting.h"
+#include "o2/Workload/BugModels.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace o2;
 
@@ -222,6 +228,83 @@ TEST(ParserTest, ErrorBadToken) {
 TEST(ParserTest, ErrorHasLineInfo) {
   std::string Err = parseErr("\n\nclass A {\n  junk\n}");
   EXPECT_EQ(Err.substr(0, 2), "4:");
+}
+
+// Columns count bytes since the last '\n', so a tab and a '\r' are one
+// column each. Inline, so that no checkout can rewrite the line ends.
+TEST(ParserTest, ErrorColumnsCountTabsAndCarriageReturnsAsOne) {
+  EXPECT_EQ(parseErr("func main() {\r\n\tvar x: int;\r\n\tx = @;\r\n}\r\n"),
+            "3:7: expected global name");
+}
+
+// The brace matcher must not see braces inside comments.
+TEST(ParserTest, BracesInCommentsAreIgnored) {
+  auto M = parseOk(R"(
+    class A { // }
+      field f: int; // {
+      method run() { // {{
+        var x: int; // }}
+        x = this.f;
+      }
+    }
+    func main() { // }
+      var a: A; // {
+      a = new A;
+      spawn a.run();
+    }
+  )");
+  ASSERT_TRUE(M);
+  EXPECT_EQ(M->findClass("A")->findMethod("run")->size(), 1u);
+  EXPECT_EQ(M->getMain()->size(), 2u);
+}
+
+/// Reads every examples/oir source and three bug-model sources.
+std::vector<std::pair<std::string, std::string>> sweepSources() {
+  std::vector<std::pair<std::string, std::string>> Sources;
+  std::vector<std::filesystem::path> Files;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(O2_EXAMPLES_OIR_DIR))
+    if (Entry.path().extension() == ".oir")
+      Files.push_back(Entry.path());
+  std::sort(Files.begin(), Files.end());
+  for (const auto &P : Files) {
+    std::ifstream In(P);
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    Sources.emplace_back(P.filename().string(), SS.str());
+  }
+  for (const char *Name : {"figure2", "linux_vsyscall", "memcached_slabs"}) {
+    const BugModel *Model = findBugModel(Name);
+    EXPECT_NE(Model, nullptr) << Name;
+    if (Model)
+      Sources.emplace_back(Name, Model->Source);
+  }
+  return Sources;
+}
+
+// Every prefix of a real program either parses or fails with a positioned
+// diagnostic whose position lies inside the prefix (or at its end). Under
+// the sanitizer build this also shows that no prefix makes the lexer or
+// the parser read outside the input or the token array.
+TEST(ParserTest, EveryPrefixParsesOrFailsInRange) {
+  auto Sources = sweepSources();
+  ASSERT_GE(Sources.size(), 10u);
+  for (const auto &[Name, Source] : Sources) {
+    for (size_t Len = 0; Len <= Source.size(); ++Len) {
+      std::string_view Prefix = std::string_view(Source).substr(0, Len);
+      std::string Err;
+      if (parseModule(Prefix, Err))
+        continue;
+      unsigned Line = 0, Col = 0;
+      char Colon1 = 0, Colon2 = 0;
+      std::istringstream Pos(Err);
+      Pos >> Line >> Colon1 >> Col >> Colon2;
+      size_t Lines = 1 + std::count(Prefix.begin(), Prefix.end(), '\n');
+      ASSERT_TRUE(Pos && Colon1 == ':' && Colon2 == ':' && Line >= 1 &&
+                  Line <= Lines + 1 && Col >= 1)
+          << Name << " prefix of " << Len << " bytes: '" << Err << "'";
+    }
+  }
 }
 
 } // namespace

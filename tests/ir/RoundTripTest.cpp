@@ -137,4 +137,23 @@ TEST(RoundTripTest, MethodsWithParamsAndReturns) {
   )");
 }
 
+// "$ret" is an ordinary local name: the printer must declare it like any
+// other, or the reparse fails on its first use.
+TEST(RoundTripTest, LocalNamedRet) {
+  checkRoundTrip(R"(
+    class Data { }
+    func make(): Data {
+      var $ret: Data;
+      var d: Data;
+      d = new Data;
+      $ret = d;
+      return $ret;
+    }
+    func main() {
+      var x: Data;
+      x = make();
+    }
+  )");
+}
+
 } // namespace
